@@ -27,7 +27,6 @@ fn campaign(runs: u64, workers: usize, firewall: bool) -> CampaignReport {
             firewall_enabled: firewall,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     })
 }
 
@@ -41,7 +40,6 @@ fn gray_campaign(runs: u64, workers: usize) -> CampaignReport {
             gray_chance: 0.45,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     })
 }
 
@@ -56,7 +54,6 @@ fn kv_campaign(runs: u64, workers: usize) -> CampaignReport {
             max_nodes: 8,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     })
 }
 

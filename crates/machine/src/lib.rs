@@ -49,11 +49,9 @@ mod payload;
 mod workload;
 
 pub use fault::FaultSpec;
-pub use machine::{
-    Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension, ShardPlan,
-};
+pub use machine::{Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension};
 pub use node::{IoDevice, NodeCtx, OutPkt, ProcState};
 pub use oracle::{Oracle, ValidationReport};
-pub use params::{MachineParams, TopologyKind};
+pub use params::{ConfigError, MachineParams, TopologyKind};
 pub use payload::{Payload, UncMsg};
 pub use workload::{Idle, OpResult, ProcOp, RandomFill, Script, Workload};

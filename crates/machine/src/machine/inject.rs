@@ -8,11 +8,55 @@ use crate::fault::FaultSpec;
 use crate::node::{DegradedRange, ProcState};
 use flash_coherence::LineAddr;
 use flash_magic::{MagicMode, Trigger};
-use flash_net::NodeId;
+use flash_net::{NodeId, RouterId};
 use flash_obs::{Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration, SimTime};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
+    /// Checks that every node, router and link `spec` names exists in this
+    /// machine; the error describes the first one that does not.
+    pub(super) fn check_fault_targets(&self, spec: &FaultSpec) -> Result<(), String> {
+        let node = |n: &NodeId| {
+            if n.index() < self.nodes.len() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "no node {n} in a {}-node machine",
+                    self.nodes.len()
+                ))
+            }
+        };
+        let routers = self.fabric.num_routers();
+        let router = |r: &RouterId| {
+            if r.index() < routers {
+                Ok(())
+            } else {
+                Err(format!("no router {r} in a {routers}-router machine"))
+            }
+        };
+        let link = |a: &RouterId, b: &RouterId| {
+            router(a)?;
+            router(b)?;
+            if self.fabric.neighbors(*a).iter().any(|x| x.router == *b) {
+                Ok(())
+            } else {
+                Err(format!("no link between {a} and {b}"))
+            }
+        };
+        match spec {
+            FaultSpec::Node(n)
+            | FaultSpec::InfiniteLoop(n)
+            | FaultSpec::FirmwareAssertion(n)
+            | FaultSpec::FalseAlarm(n)
+            | FaultSpec::FailSlow(n, _)
+            | FaultSpec::DegradedMemory(n, ..) => node(n),
+            FaultSpec::Router(r) => router(r),
+            FaultSpec::Link(a, b) | FaultSpec::LossyLink(a, b, _) => link(a, b),
+            FaultSpec::PoolFailure { pool } => pool.iter().try_for_each(node),
+            FaultSpec::Multi(parts) => parts.iter().try_for_each(|f| self.check_fault_targets(f)),
+        }
+    }
+
     /// Applies a fault (ground-truth mutation + oracle bookkeeping).
     /// False alarms are *not* applied here — the dispatcher routes them to
     /// the extension as a [`Trigger::FalseAlarm`].

@@ -35,13 +35,11 @@ mod coh;
 mod inject;
 mod proc;
 mod recovery;
-mod sharded;
 mod stats;
 #[cfg(test)]
 mod tests;
 mod world;
 
-pub use sharded::ShardPlan;
 pub use world::MachineWorld;
 
 use crate::fault::FaultSpec;
@@ -52,7 +50,7 @@ use crate::payload::{Payload, UncMsg};
 use crate::workload::Workload;
 use flash_coherence::{CohMsg, MemLayout, NodeSet};
 use flash_magic::Trigger;
-use flash_net::{Fabric, Hypercube, Lane, Mesh2D, NodeId, SourceRoute, Topology};
+use flash_net::{Fabric, Hypercube, Lane, Mesh2D, NodeId, SourceRoute};
 use flash_sim::{Counters, DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime};
 
 /// Events driving the machine, generic over the extension's event type `E`.
@@ -222,22 +220,10 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let layout = params.layout();
         let mut fabric = match params.topology {
             TopologyKind::Mesh2D => {
-                let topo = Mesh2D::roughly_square(params.n_nodes);
-                assert_eq!(
-                    topo.num_nodes(),
-                    params.n_nodes,
-                    "n_nodes must factor into a mesh"
-                );
-                Fabric::new(&topo, params.net)
+                Fabric::new(&Mesh2D::roughly_square(params.n_nodes), params.net)
             }
             TopologyKind::Hypercube => {
-                let topo = Hypercube::at_least(params.n_nodes);
-                assert_eq!(
-                    topo.num_nodes(),
-                    params.n_nodes,
-                    "n_nodes must be a power of two for a hypercube"
-                );
-                Fabric::new(&topo, params.net)
+                Fabric::new(&Hypercube::at_least(params.n_nodes), params.net)
             }
         };
         let mut root_rng = DetRng::new(seed);
@@ -503,12 +489,20 @@ impl<X: Extension + Clone> Machine<X> {
 impl<X: Extension> Machine<X> {
     /// Builds a machine. `make_workload` supplies each node's workload;
     /// `seed` drives all randomness.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`crate::ConfigError`] if `params` fails
+    /// [`MachineParams::validate`].
     pub fn new(
         params: MachineParams,
         make_workload: impl FnMut(NodeId) -> Box<dyn Workload>,
         ext: X,
         seed: u64,
     ) -> Self {
+        if let Err(e) = params.validate() {
+            panic!("invalid machine configuration: {e}");
+        }
         let st = MachineState::new(params, make_workload, seed);
         Machine {
             world: MachineWorld::new(st, ext),
@@ -557,7 +551,15 @@ impl<X: Extension> Machine<X> {
     }
 
     /// Schedules a fault at an absolute time.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the bad id, if `spec` names a node, router or link
+    /// this machine does not have.
     pub fn schedule_fault(&mut self, at: SimTime, spec: FaultSpec) {
+        if let Err(bad) = self.world.st.check_fault_targets(&spec) {
+            panic!("cannot schedule {spec:?}: {bad}");
+        }
         self.engine.schedule_at(at, Ev::Fault(spec));
     }
 

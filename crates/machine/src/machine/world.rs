@@ -30,12 +30,12 @@ pub struct MachineWorld<X: Extension> {
     pub st: MachineState<X::Msg>,
     /// The recovery extension.
     pub ext: X,
-    pub(super) net_out: Vec<(SimDuration, NetEv)>,
-    pub(super) deliveries: Vec<DeliveryNote>,
+    net_out: Vec<(SimDuration, NetEv)>,
+    deliveries: Vec<DeliveryNote>,
     /// Earliest pending [`Ev::NodeWake`] per node, used to coalesce wakes:
     /// a burst of deliveries to a busy controller needs one wake at its
     /// `busy_until`, not one per packet.
-    pub(super) wake_at: Vec<Option<SimTime>>,
+    wake_at: Vec<Option<SimTime>>,
 }
 
 impl<X: Extension> MachineWorld<X> {
@@ -54,7 +54,7 @@ impl<X: Extension> MachineWorld<X> {
     /// Schedules a controller wake for node `n` at `t` unless an
     /// earlier-or-equal wake is already pending. `node_wake` re-arms itself
     /// while work remains, so one pending wake per node suffices.
-    pub(super) fn wake_node(&mut self, n: u16, t: SimTime, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
+    fn wake_node(&mut self, n: u16, t: SimTime, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
         match self.wake_at[n as usize] {
             Some(w) if w <= t => {}
             _ => {

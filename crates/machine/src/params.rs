@@ -1,6 +1,6 @@
 //! Machine-wide configuration.
 
-use flash_coherence::MemLayout;
+use flash_coherence::{MemLayout, NodeSet};
 use flash_magic::MagicParams;
 use flash_net::NetParams;
 
@@ -12,6 +12,42 @@ pub enum TopologyKind {
     /// A binary hypercube (standing in for FLASH's fat hypercube).
     Hypercube,
 }
+
+/// Why a [`MachineParams`] cannot describe a machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `n_nodes` is zero.
+    NoNodes,
+    /// `n_nodes` exceeds what a sharer list ([`NodeSet`]) can address.
+    TooManyNodes {
+        /// The requested node count.
+        n_nodes: usize,
+    },
+    /// A hypercube needs a power-of-two node count.
+    HypercubeNotPowerOfTwo {
+        /// The requested node count.
+        n_nodes: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::NoNodes => write!(f, "n_nodes is 0; a machine needs at least one node"),
+            ConfigError::TooManyNodes { n_nodes } => write!(
+                f,
+                "n_nodes is {n_nodes}; at most {} nodes are supported",
+                NodeSet::CAPACITY
+            ),
+            ConfigError::HypercubeNotPowerOfTwo { n_nodes } => write!(
+                f,
+                "n_nodes is {n_nodes}; a hypercube needs a power-of-two node count"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Full configuration of a simulated machine, mirroring Table 5.1 of the
 /// paper (8 × R4000 @ 200 MHz, 8 × MAGIC @ 100 MHz, 1–16 MB memory per node,
@@ -83,6 +119,25 @@ impl MachineParams {
         MachineParams::default()
     }
 
+    /// Checks that this configuration describes a buildable machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ConfigError`] the configuration violates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let n_nodes = self.n_nodes;
+        if n_nodes == 0 {
+            return Err(ConfigError::NoNodes);
+        }
+        if n_nodes > NodeSet::CAPACITY {
+            return Err(ConfigError::TooManyNodes { n_nodes });
+        }
+        if self.topology == TopologyKind::Hypercube && !n_nodes.is_power_of_two() {
+            return Err(ConfigError::HypercubeNotPowerOfTwo { n_nodes });
+        }
+        Ok(())
+    }
+
     /// The memory layout implied by this configuration.
     pub fn layout(&self) -> MemLayout {
         MemLayout::with_node_mb(self.n_nodes, self.mem_mb_per_node)
@@ -113,5 +168,50 @@ mod tests {
         assert_eq!(p.layout().lines_per_node(), 8192);
         assert_eq!(p.l2_lines(), 8192);
         assert_eq!(MachineParams::tiny().l2_lines(), 64);
+    }
+
+    #[test]
+    fn validate_accepts_the_presets_and_the_largest_mesh() {
+        assert_eq!(MachineParams::tiny().validate(), Ok(()));
+        assert_eq!(MachineParams::table_5_1().validate(), Ok(()));
+        let biggest = MachineParams {
+            n_nodes: NodeSet::CAPACITY,
+            ..MachineParams::default()
+        };
+        assert_eq!(biggest.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_nodes() {
+        let p = MachineParams {
+            n_nodes: 0,
+            ..MachineParams::default()
+        };
+        assert_eq!(p.validate(), Err(ConfigError::NoNodes));
+    }
+
+    #[test]
+    fn validate_rejects_more_nodes_than_a_sharer_list_holds() {
+        let p = MachineParams {
+            n_nodes: NodeSet::CAPACITY + 1,
+            ..MachineParams::default()
+        };
+        assert_eq!(
+            p.validate(),
+            Err(ConfigError::TooManyNodes { n_nodes: 1025 })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_non_power_of_two_hypercube() {
+        let p = MachineParams {
+            n_nodes: 6,
+            topology: TopologyKind::Hypercube,
+            ..MachineParams::default()
+        };
+        assert_eq!(
+            p.validate(),
+            Err(ConfigError::HypercubeNotPowerOfTwo { n_nodes: 6 })
+        );
     }
 }

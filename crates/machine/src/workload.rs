@@ -52,9 +52,10 @@ pub enum OpResult {
 /// remaining, results observed, internal counters) alongside the rest of the
 /// machine, and a forked run resumes from exactly that cursor.
 ///
-/// Workloads must be [`Send`] so the sharded executor can move region
-/// replicas of the machine onto worker threads.
-pub trait Workload: std::fmt::Debug + Send {
+/// Workloads need not be [`Send`]: a machine is built and run on one
+/// thread, and parallel drivers (campaigns, sweeps) give each worker
+/// thread machines of its own.
+pub trait Workload: std::fmt::Debug {
     /// Produces the next operation for `node`.
     fn next_op(&mut self, node: NodeId, rng: &mut DetRng) -> ProcOp;
 

@@ -162,17 +162,12 @@ impl Metrics {
     }
 
     /// Merges a foreign histogram into histogram `name`, bucket-wise.
-    /// Used to fold shard- or workload-local histograms into the machine's
+    /// Used to fold workload-local histograms into the machine's
     /// registry at collection time.
     pub fn merge_histogram(&mut self, name: &'static str, h: &LatencyHistogram) {
         if self.enabled {
             self.hist_mut(name).merge(h);
         }
-    }
-
-    /// Merges another registry's counters into this one (summing).
-    pub fn merge_counters(&mut self, other: &Metrics) {
-        self.counters.merge(&other.counters);
     }
 
     /// A deterministic JSON snapshot: name-sorted counters, plus per

@@ -32,7 +32,6 @@ fn main() {
             firewall_enabled: !sabotage,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     };
     println!(
         "chaos campaign: {runs} runs, {workers} workers, master seed {master_seed}, firewall {}",

@@ -30,7 +30,6 @@ fn main() {
             gray_chance: 0.45,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     };
     println!(
         "gray-failure campaign: {runs} runs, {workers} workers, master seed {master_seed}, \

@@ -99,7 +99,6 @@ fn main() {
             gray_chance: 0.5,
             ..GeneratorConfig::default()
         },
-        ..CampaignConfig::default()
     };
     println!(
         "kv serving SLO campaign: {runs} runs, {workers} workers, master seed {master_seed}, \

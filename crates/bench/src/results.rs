@@ -169,7 +169,8 @@ pub fn run_fault_classes(r: &RunRecord) -> [bool; FAULT_CLASSES.len()] {
     present
 }
 
-/// Verdict, violation, and detection-latency counts for one fault class.
+/// Verdict, violation, unfinished-run and detection-latency counts for one
+/// fault class.
 #[derive(Default)]
 pub struct ClassTally {
     /// Runs in which the class appeared.
@@ -182,6 +183,8 @@ pub struct ClassTally {
     pub survived: u64,
     /// Total invariant violations across the class's runs.
     pub violations: u64,
+    /// Runs that did not reach a terminal state within their budget.
+    pub unfinished: u64,
     /// Detection latencies of the class's runs that detected their fault.
     pub detect: LatencyHistogram,
 }
@@ -196,6 +199,7 @@ impl ClassTally {
             Verdict::SurvivedDegraded => self.survived += 1,
         }
         self.violations += r.violations.len() as u64;
+        self.unfinished += u64::from(!r.finished);
         if let Some(ns) = r.detect_latency_ns {
             self.detect.record(SimDuration::from_nanos(ns));
         }
@@ -232,18 +236,19 @@ impl VerdictSheet {
     /// Renders the verdict table (header plus one row per fault class).
     pub fn verdict_table(&self) -> String {
         let mut out = format!(
-            "{:<16} {:>5} {:>10} {:>19} {:>18} {:>11}\n",
+            "{:<16} {:>5} {:>10} {:>19} {:>18} {:>11} {:>11}\n",
             "fault class",
             "runs",
             "contained",
             "detected-recovered",
             "survived-degraded",
-            "violations"
+            "violations",
+            "unfinished"
         );
         for (name, row) in FAULT_CLASSES.iter().zip(&self.classes) {
             out.push_str(&format!(
-                "{name:<16} {:>5} {:>10} {:>19} {:>18} {:>11}\n",
-                row.runs, row.contained, row.detected, row.survived, row.violations
+                "{name:<16} {:>5} {:>10} {:>19} {:>18} {:>11} {:>11}\n",
+                row.runs, row.contained, row.detected, row.survived, row.violations, row.unfinished
             ));
         }
         out

@@ -38,7 +38,7 @@ use flash_core::{
 use flash_hive::{
     finish_parallel_make, prepare_parallel_make, EndToEndOutcome, HiveConfig, PreparedMake,
 };
-use flash_machine::MachineParams;
+use flash_machine::{FaultSpec, MachineParams};
 use flash_sim::DetRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -166,6 +166,42 @@ fn aggregate<O>(
     flat
 }
 
+/// The runs of checkpoint group `g` at rung `rung` of the `stages` ladder,
+/// in `(kind, fork)` order: fork slot `j` of a kind is run
+/// `g·S·K + rung·K + j`, its fault drawn from
+/// [`fault_rng_seed`]`(g, kind, rung·K + j)` and run by `run`. Runs past
+/// `runs_per_kind` (the overshoot of the last group) are skipped.
+fn rung_runs<O>(
+    cfg: &SweepConfig,
+    kinds: &[FaultKind],
+    n_nodes: usize,
+    g: usize,
+    (stages, rung): (&[u32], usize),
+    mut run: impl FnMut(FaultSpec) -> O,
+) -> Vec<SweepRun<O>> {
+    let k = cfg.forks_per_checkpoint.max(1);
+    let mut out = Vec::with_capacity(kinds.len() * k);
+    for &kind in kinds {
+        for j in 0..k {
+            let slot = rung * k + j;
+            let index = g * stages.len() * k + slot;
+            if index >= cfg.runs_per_kind {
+                continue;
+            }
+            let mut rng = DetRng::new(fault_rng_seed(g as u64, kind, slot as u64));
+            let fault = random_fault(kind, n_nodes, &mut rng);
+            out.push(SweepRun {
+                kind,
+                run: index,
+                fill_seed: g as u64,
+                stage_pct: stages[rung],
+                outcome: run(fault),
+            });
+        }
+    }
+    out
+}
+
 /// Sweeps the Section 5.2 validation experiment (Table 5.3 methodology):
 /// one cache-fill prelude per checkpoint group, then `kinds × K` forked
 /// fault runs per group.
@@ -177,7 +213,6 @@ pub fn sweep_fault_experiments(
     kinds: &[FaultKind],
     make_cfg: impl Fn(u64) -> ExperimentConfig + Sync,
 ) -> Vec<SweepRun<ExperimentOutcome>> {
-    let k = cfg.forks_per_checkpoint.max(1);
     let groups = run_checkpoint_groups(
         cfg.workers,
         cfg.n_groups(),
@@ -186,25 +221,9 @@ pub fn sweep_fault_experiments(
             (ecfg, prepare_fault_experiment(&ecfg).checkpoint())
         },
         |g, (ecfg, ckpt)| {
-            let mut out = Vec::with_capacity(kinds.len() * k);
-            for &kind in kinds {
-                for j in 0..k {
-                    let run = g * k + j;
-                    if run >= cfg.runs_per_kind {
-                        continue;
-                    }
-                    let mut rng = DetRng::new(fault_rng_seed(g as u64, kind, j as u64));
-                    let fault = random_fault(kind, ecfg.params.n_nodes, &mut rng);
-                    out.push(SweepRun {
-                        kind,
-                        run,
-                        fill_seed: g as u64,
-                        stage_pct: 0,
-                        outcome: finish_fault_experiment(ckpt.fork(), fault),
-                    });
-                }
-            }
-            out
+            rung_runs(cfg, kinds, ecfg.params.n_nodes, g, (&[0], 0), |fault| {
+                finish_fault_experiment(ckpt.fork(), fault)
+            })
         },
     );
     aggregate(groups, kinds, cfg)
@@ -250,24 +269,9 @@ pub fn sweep_parallel_make(
                 // single warm to this rung (warm_to_percent is an
                 // idempotent continuation).
                 prep.warm_to_percent(pct);
-                for &kind in kinds {
-                    for j in 0..k {
-                        let run = g * per_group + s * k + j;
-                        if run >= cfg.runs_per_kind {
-                            continue;
-                        }
-                        let mut rng =
-                            DetRng::new(fault_rng_seed(g as u64, kind, (s * k + j) as u64));
-                        let fault = random_fault(kind, params.n_nodes, &mut rng);
-                        out.push(SweepRun {
-                            kind,
-                            run,
-                            fill_seed: g as u64,
-                            stage_pct: pct,
-                            outcome: finish_parallel_make(prep.fork(), Some(fault)),
-                        });
-                    }
-                }
+                out.extend(rung_runs(cfg, kinds, params.n_nodes, g, (stages, s), |f| {
+                    finish_parallel_make(prep.fork(), Some(f))
+                }));
             }
             out
         },
@@ -308,47 +312,22 @@ pub fn time_fault_sweep(
     Vec<SweepRun<ExperimentOutcome>>,
     SweepTiming,
 ) {
-    let sw = Stopwatch::start();
-    let forked = sweep_fault_experiments(cfg, kinds, &make_cfg);
-    let forked_secs = sw.secs();
-
-    let k = cfg.forks_per_checkpoint.max(1);
-    let sw = Stopwatch::start();
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        cfg.n_groups(),
-        |g| make_cfg(g as u64),
-        |g, ecfg| {
-            let mut out = Vec::with_capacity(kinds.len() * k);
-            for &kind in kinds {
-                for j in 0..k {
-                    let run = g * k + j;
-                    if run >= cfg.runs_per_kind {
-                        continue;
-                    }
-                    let mut rng = DetRng::new(fault_rng_seed(g as u64, kind, j as u64));
-                    let fault = random_fault(kind, ecfg.params.n_nodes, &mut rng);
-                    out.push(SweepRun {
-                        kind,
-                        run,
-                        fill_seed: g as u64,
-                        stage_pct: 0,
-                        outcome: flash_core::run_fault_experiment(&ecfg, fault),
-                    });
-                }
-            }
-            out
+    time_pair(
+        || sweep_fault_experiments(cfg, kinds, &make_cfg),
+        || {
+            let groups = run_checkpoint_groups(
+                cfg.workers,
+                cfg.n_groups(),
+                |g| make_cfg(g as u64),
+                |g, ecfg| {
+                    rung_runs(cfg, kinds, ecfg.params.n_nodes, g, (&[0], 0), |fault| {
+                        flash_core::run_fault_experiment(&ecfg, fault)
+                    })
+                },
+            );
+            aggregate(groups, kinds, cfg)
         },
-    );
-    let scratch = aggregate(groups, kinds, cfg);
-    let scratch_secs = sw.secs();
-
-    let timing = SweepTiming {
-        runs: forked.len(),
-        forked_secs,
-        scratch_secs,
-    };
-    (forked, scratch, timing)
+    )
 }
 
 /// Times [`sweep_parallel_make`] against the equivalent from-scratch loop:
@@ -367,53 +346,44 @@ pub fn time_parallel_make_sweep(
     Vec<SweepRun<EndToEndOutcome>>,
     SweepTiming,
 ) {
-    let sw = Stopwatch::start();
-    let forked = sweep_parallel_make(cfg, kinds, stages, params, hive, recovery);
-    let forked_secs = sw.secs();
-
-    let k = cfg.forks_per_checkpoint.max(1);
+    let forked = || sweep_parallel_make(cfg, kinds, stages, params, hive, recovery);
     let stages = if stages.is_empty() { &[30] } else { stages };
-    let per_group = k * stages.len();
-    let n_groups = cfg.runs_per_kind.div_ceil(per_group);
-    let sw = Stopwatch::start();
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        n_groups,
-        |g| g,
-        |g, _| {
-            let mut out = Vec::with_capacity(kinds.len() * per_group);
-            for (s, &pct) in stages.iter().enumerate() {
-                for &kind in kinds {
-                    for j in 0..k {
-                        let run = g * per_group + s * k + j;
-                        if run >= cfg.runs_per_kind {
-                            continue;
-                        }
-                        let mut rng =
-                            DetRng::new(fault_rng_seed(g as u64, kind, (s * k + j) as u64));
-                        let fault = random_fault(kind, params.n_nodes, &mut rng);
+    let per_group = cfg.forks_per_checkpoint.max(1) * stages.len();
+    time_pair(forked, || {
+        let groups = run_checkpoint_groups(
+            cfg.workers,
+            cfg.runs_per_kind.div_ceil(per_group),
+            |g| g,
+            |g, _| {
+                let mut out = Vec::with_capacity(kinds.len() * per_group);
+                for (s, &pct) in stages.iter().enumerate() {
+                    out.extend(rung_runs(cfg, kinds, params.n_nodes, g, (stages, s), |f| {
                         let mut prep = prepare_parallel_make(params, hive, recovery, g as u64);
                         prep.warm_to_percent(pct);
-                        out.push(SweepRun {
-                            kind,
-                            run,
-                            fill_seed: g as u64,
-                            stage_pct: pct,
-                            outcome: finish_parallel_make(prep, Some(fault)),
-                        });
-                    }
+                        finish_parallel_make(prep, Some(f))
+                    }));
                 }
-            }
-            out
-        },
-    );
-    let scratch = aggregate(groups, kinds, cfg);
-    let scratch_secs = sw.secs();
+                out
+            },
+        );
+        aggregate(groups, kinds, cfg)
+    })
+}
 
+/// Runs a forked sweep and then its from-scratch twin, timing each.
+fn time_pair<O>(
+    forked: impl FnOnce() -> Vec<SweepRun<O>>,
+    scratch: impl FnOnce() -> Vec<SweepRun<O>>,
+) -> (Vec<SweepRun<O>>, Vec<SweepRun<O>>, SweepTiming) {
+    let sw = Stopwatch::start();
+    let forked = forked();
+    let forked_secs = sw.secs();
+    let sw = Stopwatch::start();
+    let scratch = scratch();
     let timing = SweepTiming {
         runs: forked.len(),
         forked_secs,
-        scratch_secs,
+        scratch_secs: sw.secs(),
     };
     (forked, scratch, timing)
 }

@@ -7,6 +7,7 @@
 //! Table 5.4 / Figure 5.7 build on it from the `flash-hive` crate.
 
 use crate::config::{RecoveryConfig, RecoveryReport};
+use crate::drive::warm_until;
 use crate::ext::RecoveryExt;
 use flash_machine::{FaultSpec, Machine, MachineParams, RandomFill, ValidationReport, Workload};
 use flash_net::{NodeId, RouterId};
@@ -109,6 +110,16 @@ pub fn run_fault_experiment(cfg: &ExperimentConfig, fault: FaultSpec) -> Experim
 /// fill across every run that shares `(params, seed)`. Composing this with
 /// [`finish_fault_experiment`] is exactly [`run_fault_experiment`].
 pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
+    let mut m = boot_fault_experiment(cfg);
+    fill_caches(&mut m, cfg.fill_ops);
+    m
+}
+
+/// Builds the machine with its random-fill workload and starts every
+/// processor, without running anything: the first half of
+/// [`prepare_fault_experiment`], for callers that configure the machine
+/// before the fill.
+pub fn boot_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
     let layout = cfg.params.layout();
     let protected = cfg.params.protected_lines;
     let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
@@ -127,27 +138,18 @@ pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
     );
     m.set_event_budget(2_000_000_000);
     m.start();
+    m
+}
 
-    // Phase A: fill caches until every processor completed `fill_ops`.
-    let slice = SimDuration::from_micros(20);
-    let mut guard = 0;
-    loop {
-        let horizon = m.now() + slice;
-        let outcome = m.run_until(horizon);
-        let filled = m
-            .st()
+/// Phase A: fills caches until every processor completed `fill_ops`
+/// operations, in 20 µs slices.
+pub fn fill_caches(m: &mut FcMachine, fill_ops: u64) {
+    warm_until(m, |m| {
+        m.st()
             .nodes
             .iter()
-            .all(|n| n.workload.progress() >= cfg.fill_ops);
-        if filled {
-            break;
-        }
-        guard += 1;
-        if guard > 1_000_000 || outcome == RunOutcome::Drained {
-            break;
-        }
-    }
-    m
+            .all(|n| n.workload.progress() >= fill_ops)
+    });
 }
 
 /// Injects `fault` into a warm machine (fresh from

@@ -13,7 +13,9 @@
 //!   deadlock-free rerouting), and coherence-protocol recovery (cache
 //!   flush, directory scan, incoherent-line marking);
 //! * plus the **experiment harness** of Section 5.2 ([`run_fault_experiment`])
-//!   used by the validation suite (Table 5.3) and the scalability figures.
+//!   used by the validation suite (Table 5.3) and the scalability figures,
+//!   and the **run driver** ([`drive`], [`Harness`], [`FaultPlan`]) that the
+//!   campaign and the Hive and KV harnesses share.
 //!
 //! # Examples
 //!
@@ -36,15 +38,18 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod drive;
 mod experiment;
 mod ext;
 mod msg;
 mod view;
 
 pub use config::{PhaseEntries, PhaseTimes, RecoveryConfig, RecoveryReport};
+pub use drive::{drive, warm_until, FaultPlan, Harness};
 pub use experiment::{
-    build_machine, finish_fault_experiment, mesh_width, prepare_fault_experiment, random_fault,
-    run_fault_experiment, ExperimentConfig, ExperimentOutcome, FaultKind, FcMachine,
+    boot_fault_experiment, build_machine, fill_caches, finish_fault_experiment, mesh_width,
+    prepare_fault_experiment, random_fault, run_fault_experiment, ExperimentConfig,
+    ExperimentOutcome, FaultKind, FcMachine,
 };
 pub use ext::{RecEv, RecoveryExt, Step};
 pub use msg::{BarrierId, RecMsg};

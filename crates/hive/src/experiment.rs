@@ -5,10 +5,12 @@
 use crate::cells::CellLayout;
 use crate::os::{self, HiveConfig};
 use crate::task::{CompileTask, ServerLoop, TaskState};
-use flash_core::{build_machine, FcMachine, RecoveryConfig, RecoveryReport};
-use flash_machine::{FaultSpec, Idle, MachineParams};
+use flash_core::{
+    build_machine, drive, warm_until, FaultPlan, FcMachine, Harness, RecoveryConfig, RecoveryReport,
+};
+use flash_machine::{FaultSpec, Idle, MachineParams, ProcState};
 use flash_net::NodeId;
-use flash_sim::{RunOutcome, SimDuration};
+use flash_sim::SimDuration;
 
 /// The outcome of one compile in an end-to-end run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,22 +118,9 @@ impl PreparedMake {
     pub fn warm_to_percent(&mut self, pct: u32) {
         let total_budget = self.hive.ops_per_task() * self.client_nodes.len() as u64;
         let inject_threshold = total_budget * u64::from(pct) / 100;
-        let mut guard = 0;
-        loop {
-            let done: u64 = self
-                .client_nodes
-                .iter()
-                .map(|c| self.m.st().nodes[c.index()].workload.progress())
-                .sum();
-            if done >= inject_threshold {
-                break;
-            }
-            self.m.run_for(SimDuration::from_micros(50));
-            guard += 1;
-            if guard > 2_000_000 {
-                break;
-            }
-        }
+        warm_until(self, |p| {
+            p.client_progress().sum::<u64>() >= inject_threshold
+        });
     }
 
     /// Deep-copies the warm experiment — one fork per fault to amortize the
@@ -140,15 +129,45 @@ impl PreparedMake {
         self.clone()
     }
 
-    /// Read access to the underlying machine (inspection).
-    pub fn machine(&self) -> &FcMachine {
+    /// The cell layout.
+    pub fn layout(&self) -> &CellLayout {
+        &self.layout
+    }
+
+    /// Operations completed by each compile, in client-cell order.
+    pub fn client_progress(&self) -> impl Iterator<Item = u64> + '_ {
+        self.client_nodes
+            .iter()
+            .map(|c| self.m.st().nodes[c.index()].workload.progress())
+    }
+
+    /// Whether every compile has reached a terminal state (its processor
+    /// halted or died). The server loop never halts.
+    pub fn compiles_done(&self) -> bool {
+        self.client_nodes.iter().all(|c| {
+            let n = &self.m.st().nodes[c.index()];
+            !n.is_alive() || matches!(n.proc, ProcState::Halted | ProcState::Dead)
+        })
+    }
+}
+
+impl Harness for PreparedMake {
+    fn machine(&self) -> &FcMachine {
         &self.m
     }
 
-    /// Consumes the prepared experiment, returning the machine (custom
-    /// drivers that need more control than [`finish_parallel_make`]).
-    pub fn into_machine(self) -> FcMachine {
-        self.m
+    fn machine_mut(&mut self) -> &mut FcMachine {
+        &mut self.m
+    }
+
+    fn slice(&self) -> SimDuration {
+        SimDuration::from_micros(50)
+    }
+
+    /// The compiles, not the machine, end the run: the server loop never
+    /// halts. OS-window faults wait for the caller's OS pass after the run.
+    fn workloads_done(&self, _plan: &FaultPlan<'_>) -> Option<bool> {
+        Some(self.compiles_done())
     }
 }
 
@@ -221,7 +240,15 @@ pub fn prepare_parallel_make(
 /// Drives a booted (and, for fault runs, warmed) experiment to its terminal
 /// state: optional fault injection, hardware recovery, OS recovery and
 /// per-compile outcome accounting.
-pub fn finish_parallel_make(prep: PreparedMake, fault: Option<FaultSpec>) -> EndToEndOutcome {
+///
+/// The run ends when every compile is terminal (its processor halts or
+/// dies) and, after a fault, once the background kernel monitoring traffic
+/// has detected it and recovery has completed — up to a detection budget,
+/// since an unreferenced dead link can legitimately stay latent.
+pub fn finish_parallel_make(mut prep: PreparedMake, fault: Option<FaultSpec>) -> EndToEndOutcome {
+    let faulted = fault.is_some();
+    let mut plan = FaultPlan::single(&mut prep.m, fault);
+    let finished = drive(&mut prep, &mut plan);
     let PreparedMake {
         mut m,
         layout,
@@ -229,68 +256,11 @@ pub fn finish_parallel_make(prep: PreparedMake, fault: Option<FaultSpec>) -> End
         hive,
     } = prep;
 
-    if let Some(spec) = fault.clone() {
-        m.schedule_fault(m.now() + SimDuration::from_nanos(1), spec);
-    }
-
-    // Run until every compile reaches a terminal state (its processor halts
-    // or dies). The server loop never halts, so poll with horizons. When a
-    // fault was injected, additionally wait for the (background kernel
-    // monitoring) traffic to detect it and for recovery to complete — up to
-    // a detection budget, since an unreferenced dead link can legitimately
-    // stay latent.
-    let mut finished = false;
-    let mut detect_wait = 0u32;
-    let budget = 400_000; // x 50us = 20s of simulated time
-    for _ in 0..budget {
-        let out = m.run_for(SimDuration::from_micros(50));
-        let all_done = client_nodes.iter().all(|c| {
-            let n = &m.st().nodes[c.index()];
-            !n.is_alive()
-                || matches!(
-                    n.proc,
-                    flash_machine::ProcState::Halted | flash_machine::ProcState::Dead
-                )
-        });
-        if all_done && !m.ext().recovery_active() {
-            let fault_pending = fault.is_some() && !m.ext().report.completed();
-            if fault_pending && detect_wait < 10_000 {
-                detect_wait += 1; // up to 500ms of simulated detection time
-                continue;
-            }
-            finished = true;
-            break;
-        }
-        if out == RunOutcome::Drained {
-            finished = true;
-            break;
-        }
-    }
-
     // OS recovery (Section 4.6): page reinitialization + modeled cost.
-    let failed_cells = layout.failed_cells(&m.st().failed_nodes);
-    {
-        let now = m.now();
-        let st = m.st_mut();
-        for &cell in &failed_cells {
-            st.obs.record(
-                flash_obs::Domain::Hive,
-                now,
-                flash_obs::TraceEvent::HiveCell {
-                    cell: cell as u16,
-                    what: "cell_failed",
-                    value: layout.members(cell).len() as u64,
-                },
-            );
-        }
-    }
-    let lines_reinitialized = if fault.is_some() {
-        os::os_recover(&mut m)
-    } else {
-        0
-    };
+    let failed_cells = os::record_failed_cells(&mut m, &layout);
+    let lines_reinitialized = if faulted { os::os_recover(&mut m) } else { 0 };
     let live_cells = hive.n_cells - failed_cells.len();
-    let os_time = if fault.is_some() {
+    let os_time = if faulted {
         hive.os_recovery_time(live_cells)
     } else {
         SimDuration::ZERO

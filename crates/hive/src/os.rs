@@ -222,6 +222,25 @@ pub fn os_recover(m: &mut FcMachine) -> u64 {
     cleared
 }
 
+/// Records a `cell_failed` trace event for every cell that lost hardware,
+/// valued at the cell's size, and returns those cells.
+pub fn record_failed_cells(m: &mut FcMachine, layout: &CellLayout) -> Vec<usize> {
+    let failed = layout.failed_cells(&m.st().failed_nodes);
+    let now = m.now();
+    for &cell in &failed {
+        m.st_mut().obs.record(
+            flash_obs::Domain::Hive,
+            now,
+            flash_obs::TraceEvent::HiveCell {
+                cell: cell as u16,
+                what: "cell_failed",
+                value: layout.members(cell).len() as u64,
+            },
+        );
+    }
+    failed
+}
+
 /// Reads a compile task's final state from a machine node's workload.
 /// Returns `None` for nodes not running a [`CompileTask`].
 pub fn task_result(m: &FcMachine, node: NodeId) -> Option<(TaskState, u32)> {

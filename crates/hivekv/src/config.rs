@@ -1,5 +1,8 @@
 //! KV serving workload configuration.
 
+use flash_coherence::LINES_PER_PAGE;
+use flash_machine::MachineParams;
+
 /// Configuration of the replicated KV serving experiment.
 ///
 /// The client population is *modeled*, not simulated per-client: `clients`
@@ -70,7 +73,102 @@ impl Default for KvConfig {
     }
 }
 
+/// Why a [`KvConfig`] cannot run on a machine.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum KvConfigError {
+    /// `n_cells` is zero or does not divide the node count.
+    CellsDontDivideNodes {
+        /// The requested cell count.
+        n_cells: usize,
+        /// The machine's node count.
+        n_nodes: usize,
+    },
+    /// `replication` is zero or exceeds the cell count.
+    Replication {
+        /// The requested replica count.
+        replicas: usize,
+        /// The cell count.
+        n_cells: usize,
+    },
+    /// `zipf_theta` is outside `[0, 1)`.
+    ZipfTheta(f64),
+    /// `get_fraction` is outside `[0, 1]`.
+    GetFraction(f64),
+    /// `clients` or `client_rpm` is zero: no request would ever arrive.
+    NoLoad,
+    /// `chunks` is zero.
+    NoChunks,
+    /// `keys` is zero.
+    NoKeys,
+    /// The chunk region does not fit on a node below its protected tail.
+    ChunkRegionTooLarge {
+        /// Lines the chunk region needs.
+        lines: u64,
+        /// Lines a node has for it.
+        available: u64,
+    },
+}
+
+impl std::fmt::Display for KvConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use KvConfigError::*;
+        match *self {
+            CellsDontDivideNodes { n_cells, n_nodes } => {
+                write!(f, "n_cells {n_cells} must divide the {n_nodes} nodes")
+            }
+            Replication { replicas, n_cells } => {
+                write!(f, "replication {replicas} must be in 1..={n_cells}")
+            }
+            ZipfTheta(t) => write!(f, "zipf_theta {t} must be in [0, 1)"),
+            GetFraction(g) => write!(f, "get_fraction {g} must be in [0, 1]"),
+            NoLoad => write!(f, "clients and client_rpm must be nonzero"),
+            NoChunks => write!(f, "chunks is 0"),
+            NoKeys => write!(f, "keys is 0"),
+            ChunkRegionTooLarge { lines, available } => {
+                write!(f, "chunk region of {lines} lines exceeds {available}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for KvConfigError {}
+
 impl KvConfig {
+    /// Checks that the configuration can run on a machine with `params`.
+    pub fn validate(&self, params: &MachineParams) -> Result<(), KvConfigError> {
+        use KvConfigError::*;
+        let (n_cells, n_nodes, replicas) = (self.n_cells, params.n_nodes, self.replication);
+        // The chunk region sits one page above the kernel region peers poll
+        // and must end below the node's protected tail.
+        let lines = (self.chunks as u64)
+            .saturating_mul(self.lines_per_chunk)
+            .saturating_add(2 * LINES_PER_PAGE);
+        let available = params
+            .layout()
+            .lines_per_node()
+            .saturating_sub(params.protected_lines);
+        let error = if n_cells == 0 || n_nodes % n_cells != 0 {
+            CellsDontDivideNodes { n_cells, n_nodes }
+        } else if replicas == 0 || replicas > n_cells {
+            Replication { replicas, n_cells }
+        } else if !(0.0..1.0).contains(&self.zipf_theta) {
+            ZipfTheta(self.zipf_theta)
+        } else if !(0.0..=1.0).contains(&self.get_fraction) {
+            GetFraction(self.get_fraction)
+        } else if self.clients == 0 || self.client_rpm == 0 {
+            NoLoad
+        } else if self.chunks == 0 {
+            NoChunks
+        } else if self.keys == 0 {
+            NoKeys
+        } else if lines > available {
+            ChunkRegionTooLarge { lines, available }
+        } else {
+            return Ok(());
+        };
+        Err(error)
+    }
+
     /// A smaller request budget for fault-campaign runs (hundreds of runs).
     pub fn campaign() -> Self {
         KvConfig {
@@ -103,6 +201,87 @@ mod tests {
         // 10^6 clients x 15 rpm = 250k rps over 4 shards = 62.5k rps each.
         assert_eq!(cfg.mean_interarrival_ns(), 16_000);
         assert_eq!(cfg.total_requests(), 1600);
+    }
+
+    fn invalid(change: impl FnOnce(&mut KvConfig)) -> KvConfigError {
+        let mut cfg = KvConfig::default();
+        change(&mut cfg);
+        let mut params = MachineParams::table_5_1();
+        params.n_nodes = 8;
+        cfg.validate(&params).unwrap_err()
+    }
+
+    #[test]
+    fn default_config_validates() {
+        assert_eq!(
+            KvConfig::default().validate(&MachineParams::table_5_1()),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn rejects_cells_that_do_not_divide_nodes() {
+        let zero = KvConfigError::CellsDontDivideNodes {
+            n_cells: 0,
+            n_nodes: 8,
+        };
+        assert_eq!(invalid(|c| c.n_cells = 0), zero);
+        assert!(matches!(
+            invalid(|c| c.n_cells = 3),
+            KvConfigError::CellsDontDivideNodes { n_cells: 3, .. }
+        ));
+    }
+
+    #[test]
+    fn rejects_replication_outside_cells() {
+        assert!(matches!(
+            invalid(|c| c.replication = 0),
+            KvConfigError::Replication { replicas: 0, .. }
+        ));
+        assert!(matches!(
+            invalid(|c| c.replication = 5),
+            KvConfigError::Replication { replicas: 5, .. }
+        ));
+    }
+
+    #[test]
+    fn rejects_zipf_theta_of_one() {
+        assert_eq!(
+            invalid(|c| c.zipf_theta = 1.0),
+            KvConfigError::ZipfTheta(1.0)
+        );
+    }
+
+    #[test]
+    fn rejects_get_fraction_above_one() {
+        assert_eq!(
+            invalid(|c| c.get_fraction = 1.5),
+            KvConfigError::GetFraction(1.5)
+        );
+    }
+
+    #[test]
+    fn rejects_zero_load() {
+        assert_eq!(invalid(|c| c.clients = 0), KvConfigError::NoLoad);
+        assert_eq!(invalid(|c| c.client_rpm = 0), KvConfigError::NoLoad);
+    }
+
+    #[test]
+    fn rejects_zero_chunks() {
+        assert_eq!(invalid(|c| c.chunks = 0), KvConfigError::NoChunks);
+    }
+
+    #[test]
+    fn rejects_zero_keys() {
+        assert_eq!(invalid(|c| c.keys = 0), KvConfigError::NoKeys);
+    }
+
+    #[test]
+    fn rejects_chunk_region_larger_than_a_node() {
+        assert!(matches!(
+            invalid(|c| c.lines_per_chunk = 1 << 20),
+            KvConfigError::ChunkRegionTooLarge { .. }
+        ));
     }
 
     #[test]

@@ -3,22 +3,26 @@
 //! recovery, and account user-visible outcomes (goodput, latency
 //! quantiles, error fractions, data loss).
 //!
-//! Mirrors the hive parallel-make harness ([`flash_hive::PreparedMake`]):
 //! [`prepare_kv_serving`] boots, [`PreparedKv::warm_to_percent`] runs to a
 //! checkpoint, [`PreparedKv::fork`] deep-copies, and
 //! [`finish_kv_serving`] drives to the terminal state — forked runs hash
-//! bit-identically to from-scratch runs with the same seed.
+//! bit-identically to from-scratch runs with the same seed. The drive is
+//! the shared [`flash_core::drive`] loop: [`PreparedKv`] is a
+//! [`Harness`] whose after-slice hook is the OS + replica-repair pass, so
+//! the sweeps and the campaign's KV mode run the same loop.
 
 use crate::config::KvConfig;
 use crate::placement::{ChunkDirectory, RepairSummary};
 use crate::shard::KvShard;
 use flash_coherence::{LineAddr, NodeSet, LINES_PER_PAGE};
-use flash_core::{build_machine, FcMachine, RecoveryConfig, RecoveryReport};
+use flash_core::{
+    build_machine, drive, warm_until, FaultPlan, FcMachine, Harness, RecoveryConfig, RecoveryReport,
+};
 use flash_hive::{os, CellLayout, HiveConfig};
 use flash_machine::{FaultSpec, Idle, MachineParams, ProcState};
 use flash_net::NodeId;
 use flash_obs::{Domain, TraceEvent};
-use flash_sim::{LatencyHistogram, RunOutcome, SimDuration};
+use flash_sim::{LatencyHistogram, SimDuration};
 
 /// Aggregated user-visible serving statistics for one run.
 #[derive(Clone, Debug)]
@@ -124,12 +128,20 @@ pub struct PreparedKv {
 /// protection policies, opens the chunk regions for cross-cell
 /// replication writes, installs one shard per cell and starts every
 /// processor. No warm-up is run.
+///
+/// # Panics
+///
+/// Panics with the [`crate::KvConfigError`] if `kv` cannot run on a
+/// machine with `params` ([`KvConfig::validate`]).
 pub fn prepare_kv_serving(
     params: MachineParams,
     kv: &KvConfig,
     recovery: RecoveryConfig,
     seed: u64,
 ) -> PreparedKv {
+    if let Err(e) = kv.validate(&params) {
+        panic!("invalid KV config: {e}");
+    }
     let layout = CellLayout::contiguous(params.n_nodes, kv.n_cells);
     let mut m: FcMachine = build_machine(params, recovery, |_| Box::new(Idle), seed);
     let hive = HiveConfig {
@@ -140,10 +152,6 @@ pub fn prepare_kv_serving(
 
     let lines_per_node = m.st().layout.lines_per_node();
     let chunk_region_lines = kv.chunks as u64 * kv.lines_per_chunk;
-    assert!(
-        2 * LINES_PER_PAGE + chunk_region_lines <= lines_per_node - params.protected_lines,
-        "chunk region must fit below the protected tail"
-    );
     // Chunk region: per cell, on the boot node, one page above the kernel
     // region polled by peers.
     let chunk_base: Vec<u64> = (0..kv.n_cells)
@@ -225,22 +233,7 @@ impl PreparedKv {
     /// across shards. Idempotent once the threshold is reached.
     pub fn warm_to_percent(&mut self, pct: u32) {
         let threshold = self.kv.total_requests() * u64::from(pct) / 100;
-        let mut guard = 0;
-        loop {
-            let done: u64 = self
-                .shard_nodes
-                .iter()
-                .map(|n| self.m.st().nodes[n.index()].workload.progress())
-                .sum();
-            if done >= threshold {
-                break;
-            }
-            self.m.run_for(SimDuration::from_micros(50));
-            guard += 1;
-            if guard > 2_000_000 {
-                break;
-            }
-        }
+        warm_until(self, |p| p.shard_progress().sum::<u64>() >= threshold);
     }
 
     /// Deep-copies the warm experiment — one fork per fault.
@@ -248,25 +241,16 @@ impl PreparedKv {
         self.clone()
     }
 
-    /// Read access to the underlying machine.
-    pub fn machine(&self) -> &FcMachine {
-        &self.m
+    /// The cell layout.
+    pub fn layout(&self) -> &CellLayout {
+        &self.layout
     }
 
-    /// Mutable access to the underlying machine (campaign drivers arm
-    /// faults and step the run themselves).
-    pub fn machine_mut(&mut self) -> &mut FcMachine {
-        &mut self.m
-    }
-
-    /// The boot node hosting each cell's shard.
-    pub fn shard_nodes(&self) -> &[NodeId] {
-        &self.shard_nodes
-    }
-
-    /// The replication directory (harness-side placement ground truth).
-    pub fn directory(&self) -> &ChunkDirectory {
-        &self.directory
+    /// Requests resolved by each shard, in cell order.
+    pub fn shard_progress(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shard_nodes
+            .iter()
+            .map(|n| self.m.st().nodes[n.index()].workload.progress())
     }
 
     /// Whether every shard has reached a terminal state (halted after
@@ -285,8 +269,7 @@ impl PreparedKv {
     /// and install the new placement into surviving shards. Returns the
     /// repair summary when a pass ran.
     ///
-    /// Drivers stepping the machine themselves must call this every slice;
-    /// [`finish_kv_serving`] does.
+    /// [`flash_core::drive`] calls this after every slice.
     pub fn post_recovery_pass(&mut self) -> Option<RepairSummary> {
         let completed_now = self.m.ext().report.completed() && !self.m.ext().recovery_active();
         let rising = completed_now && !self.last_recovery_completed;
@@ -296,31 +279,10 @@ impl PreparedKv {
         }
         self.lines_reinitialized += os::os_recover(&mut self.m);
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
-        let live_cells = self.kv.n_cells - failed_cells.len();
-        self.os_time += self.hive.os_recovery_time(live_cells);
-        let now_ns = self.m.now().as_nanos();
-        let summary =
-            self.directory
-                .on_cells_failed(&failed_cells, now_ns, self.kv.repair_ns_per_chunk);
-        {
-            let now = self.m.now();
-            let st = self.m.st_mut();
-            for &c in &summary.reconfigured {
-                let (what, value) = match self.directory.placement.primary(c) {
-                    Some(p) => ("reconfigured", p as u64),
-                    None => ("lost", 0),
-                };
-                st.obs.record(
-                    Domain::Hive,
-                    now,
-                    TraceEvent::KvChunk {
-                        chunk: c as u16,
-                        what,
-                        value,
-                    },
-                );
-            }
-        }
+        self.os_time += self
+            .hive
+            .os_recovery_time(self.kv.n_cells - failed_cells.len());
+        let summary = self.reconcile_directory();
         if !summary.reconfigured.is_empty() {
             let placement = self.directory.placement.clone();
             let st = self.m.st_mut();
@@ -338,20 +300,22 @@ impl PreparedKv {
         Some(summary)
     }
 
-    /// Reconciles the replication directory against the machine's final
-    /// failed-cell set. The repair pass normally runs at every recovery
-    /// completion, but a fault cascade can end the run with no live OS
-    /// instance left to run it (machine halted, every cell dead, recovery
-    /// still in flight); the end-of-run accounting must still classify
-    /// those chunks — data on an unrepaired dead cell is lost data, not a
-    /// stale directory entry.
-    fn reconcile_directory(&mut self) {
+    /// Reconfigures the replication directory for the machine's current
+    /// failed-cell set and records each chunk it moved or lost. Runs in
+    /// every repair pass and once more at the end of the run: a fault
+    /// cascade can end the run with no live OS instance left to run the
+    /// pass (machine halted, every cell dead, recovery still in flight),
+    /// and the end-of-run accounting must still classify those chunks —
+    /// data on an unrepaired dead cell is lost data, not a stale directory
+    /// entry.
+    fn reconcile_directory(&mut self) -> RepairSummary {
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
-        let now_ns = self.m.now().as_nanos();
-        let summary =
-            self.directory
-                .on_cells_failed(&failed_cells, now_ns, self.kv.repair_ns_per_chunk);
         let now = self.m.now();
+        let summary = self.directory.on_cells_failed(
+            &failed_cells,
+            now.as_nanos(),
+            self.kv.repair_ns_per_chunk,
+        );
         let st = self.m.st_mut();
         for &c in &summary.reconfigured {
             let (what, value) = match self.directory.placement.primary(c) {
@@ -368,13 +332,15 @@ impl PreparedKv {
                 },
             );
         }
+        summary
     }
 
-    /// Collects the run outcome: aggregates shard statistics, records the
-    /// per-shard resolution trace events, folds latency histograms into
-    /// the machine metrics, and evaluates the serving invariants. Call
-    /// once, at the end of the run.
+    /// Collects the run outcome: records the failed cells, aggregates
+    /// shard statistics, records the per-shard resolution trace events,
+    /// folds latency histograms into the machine metrics, and evaluates the
+    /// serving invariants. Call once, at the end of the run.
     pub fn collect(&mut self, finished: bool, faulted: bool) -> KvOutcome {
+        os::record_failed_cells(&mut self.m, &self.layout);
         self.reconcile_directory();
         let mut stats = KvStats {
             arrivals: 0,
@@ -584,56 +550,50 @@ impl PreparedKv {
     }
 }
 
+impl Harness for PreparedKv {
+    fn machine(&self) -> &FcMachine {
+        &self.m
+    }
+
+    fn machine_mut(&mut self) -> &mut FcMachine {
+        &mut self.m
+    }
+
+    fn slice(&self) -> SimDuration {
+        SimDuration::from_micros(50)
+    }
+
+    /// The shards end the run, once no fault still waits for the
+    /// OS-recovery window (it opens at the next recovery completion).
+    fn workloads_done(&self, plan: &FaultPlan<'_>) -> Option<bool> {
+        Some(self.shards_done() && !plan.os_window_pending())
+    }
+
+    /// At each recovery completion: OS page service + replica repair.
+    /// Faults armed "during OS recovery" fire in exactly that window.
+    fn after_slice(&mut self, plan: &mut FaultPlan<'_>) {
+        if self.post_recovery_pass().is_some() {
+            while plan.open_os_window(&mut self.m).is_some() {}
+        }
+    }
+
+    /// A drained machine whose triggered recovery never completed is a
+    /// wedged fault cascade (recovery messages lost over dead links), not a
+    /// finished run: the drain-dependent checks must not judge a machine
+    /// that never came back.
+    fn finished_on_drain(&self) -> bool {
+        let report = &self.m.ext().report;
+        report.machine_halted || report.phases.triggered_at.is_none() || report.completed()
+    }
+}
+
 /// Drives a booted (and, for fault runs, warmed) experiment to its
 /// terminal state: optional fault injection, hardware recovery, the OS +
 /// replication-repair pass, and outcome accounting.
 pub fn finish_kv_serving(mut prep: PreparedKv, fault: Option<FaultSpec>) -> KvOutcome {
-    if let Some(spec) = fault.clone() {
-        let at = prep.m.now() + SimDuration::from_nanos(1);
-        prep.m.schedule_fault(at, spec);
-    }
-
-    let mut finished = false;
-    let mut detect_wait = 0u32;
-    let budget = 400_000; // x 50us = 20s of simulated time
-    for _ in 0..budget {
-        let out = prep.m.run_for(SimDuration::from_micros(50));
-        prep.post_recovery_pass();
-        if prep.shards_done() && !prep.m.ext().recovery_active() {
-            let fault_pending = fault.is_some() && !prep.m.ext().report.completed();
-            if fault_pending && detect_wait < 10_000 {
-                detect_wait += 1; // up to 500ms of simulated detection time
-                continue;
-            }
-            finished = true;
-            break;
-        }
-        if out == RunOutcome::Drained {
-            finished = true;
-            break;
-        }
-    }
-    prep.post_recovery_pass();
-
-    let failed_cells = prep.layout.failed_cells(&prep.m.st().failed_nodes);
-    {
-        let now = prep.m.now();
-        let layout = prep.layout.clone();
-        let st = prep.m.st_mut();
-        for &cell in &failed_cells {
-            st.obs.record(
-                Domain::Hive,
-                now,
-                TraceEvent::HiveCell {
-                    cell: cell as u16,
-                    what: "cell_failed",
-                    value: layout.members(cell).len() as u64,
-                },
-            );
-        }
-    }
-
-    prep.collect(finished, fault.is_some())
+    let mut plan = FaultPlan::single(&mut prep.m, fault);
+    let finished = drive(&mut prep, &mut plan);
+    prep.collect(finished, plan.detectable)
 }
 
 /// Runs one full KV serving experiment: boot, warm (for fault runs),
@@ -666,6 +626,17 @@ mod tests {
             ..KvConfig::default()
         };
         (params, kv)
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid KV config: replication 5 must be in 1..=4")]
+    fn prepare_rejects_an_invalid_config() {
+        let (params, kv) = small_kv();
+        let kv = KvConfig {
+            replication: 5,
+            ..kv
+        };
+        prepare_kv_serving(params, &kv, RecoveryConfig::default(), 1);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! compiles).
 //!
 //! The experiment harness ([`prepare_kv_serving`] / [`PreparedKv`] /
-//! [`finish_kv_serving`]) mirrors the hive parallel-make harness, including
-//! warm-checkpoint/fork support with bit-identical trace hashes.
+//! [`finish_kv_serving`]) runs on the shared `flash_core::drive` loop, like
+//! the hive parallel make, including warm-checkpoint/fork support with
+//! bit-identical trace hashes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,7 +34,7 @@ mod placement;
 mod shard;
 mod zipf;
 
-pub use config::KvConfig;
+pub use config::{KvConfig, KvConfigError};
 pub use experiment::{
     finish_kv_serving, prepare_kv_serving, run_kv_serving, KvCheck, KvOutcome, KvStats, PreparedKv,
 };

@@ -7,8 +7,8 @@
 //! cargo run --release --example gray_campaign [runs] [workers] [master-seed]
 //! ```
 //!
-//! Exits nonzero if any invariant is violated, so CI can run it as the
-//! `gray-chaos-smoke` gate.
+//! Exits nonzero if any invariant is violated or any run does not finish,
+//! so CI can run it as the `gray-chaos-smoke` gate.
 
 use flash::bench::VerdictSheet;
 use flash::campaign::{run_campaign, CampaignConfig, GeneratorConfig};
@@ -58,7 +58,11 @@ fn main() {
             println!("  {}: {}", v.invariant, v.details);
         }
     }
-    if report.total_violations() > 0 {
+    let unfinished = sheet.overall.unfinished;
+    if unfinished > 0 {
+        println!("\n{unfinished} run(s) did not finish");
+    }
+    if report.total_violations() > 0 || unfinished > 0 {
         std::process::exit(1);
     }
     println!("\nall invariants held across the gray-failure mix.");

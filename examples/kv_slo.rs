@@ -12,8 +12,8 @@
 //! worker count, and the per-run merged trace hashes must match
 //! bit-for-bit — the serving workload obeys the same determinism
 //! discipline as everything else. Exits nonzero on any invariant
-//! violation, missing fault-class coverage, or hash mismatch, so CI can
-//! run it as the `kv-slo-smoke` gate.
+//! violation, unfinished run, missing fault-class coverage, or hash
+//! mismatch, so CI can run it as the `kv-slo-smoke` gate.
 
 use flash::bench::{run_fault_classes, ResultSheet, VerdictSheet, FAULT_CLASSES};
 use flash::campaign::{run_campaign, CampaignConfig, GeneratorConfig, RunRecord};
@@ -208,7 +208,11 @@ fn main() {
             slo_rows[0].runs
         );
     }
-    if report.total_violations() > 0 || !hash_ok || !covered {
+    let unfinished = verdicts.overall.unfinished;
+    if unfinished > 0 {
+        println!("\n{unfinished} run(s) did not finish");
+    }
+    if report.total_violations() > 0 || unfinished > 0 || !hash_ok || !covered {
         std::process::exit(1);
     }
     println!("\nall serving invariants held; trace hashes identical across worker counts.");

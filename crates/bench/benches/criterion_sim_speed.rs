@@ -11,7 +11,9 @@
 //! * `fabric_hop/*` — a standalone [`flash_net::Fabric`] pushed through a
 //!   sustained ping-of-packets workload, table-routed and source-routed;
 //! * `normal_mode_*` / `full_fault_recovery_cycle/*` — the full machine in
-//!   normal operation and across one complete fault-recovery cycle.
+//!   normal operation and across one complete fault-recovery cycle, on the
+//!   8-node Table 5.1 machine and on the 128-node mesh of Fig 5.5, where
+//!   the recovery views are large.
 //!
 //! Every case reports events/sec and ns/event derived from the best run.
 //!
@@ -187,22 +189,37 @@ fn normal_mode_events(firewall: bool) -> u64 {
     m.events_processed()
 }
 
-/// One full fault-recovery cycle (the Section 5.2 methodology); returns
-/// engine events processed.
-fn recovery_cycle_events() -> u64 {
-    let cfg = {
-        let mut c = ExperimentConfig::new(MachineParams::table_5_1(), 9);
-        c.fill_ops = 500;
-        c.total_ops = 1_500;
-        c
-    };
-    let mut m = prepare_fault_experiment(&cfg);
+/// One full fault-recovery cycle (the Section 5.2 methodology) with a
+/// node failure of `victim`; returns engine events processed.
+fn recovery_cycle_events(cfg: &ExperimentConfig, victim: NodeId) -> u64 {
+    let mut m = prepare_fault_experiment(cfg);
     let inject_at = m.now() + SimDuration::from_nanos(1);
-    m.schedule_fault(inject_at, FaultSpec::Node(NodeId(3)));
+    m.schedule_fault(inject_at, FaultSpec::Node(victim));
     let outcome = m.run_until(m.now() + SimDuration::from_secs(20));
     assert_eq!(outcome, RunOutcome::Drained, "recovery cycle did not drain");
     assert!(m.st().validate().passed(), "oracle validation failed");
     m.events_processed()
+}
+
+/// The 8-node Table 5.1 machine: fill, fault and drain all show.
+fn small_recovery_config() -> ExperimentConfig {
+    let mut c = ExperimentConfig::new(MachineParams::table_5_1(), 9);
+    c.fill_ops = 500;
+    c.total_ops = 1_500;
+    c
+}
+
+/// The 128-node mesh of Fig 5.5 (1 MB memory and L2 per node, a short
+/// fill): recovery, and its phase-2 view exchange above all, dominates.
+fn fig55_recovery_config() -> ExperimentConfig {
+    let mut params = MachineParams::table_5_1();
+    params.n_nodes = 128;
+    params.mem_mb_per_node = 1;
+    params.l2_mb = 1.0;
+    let mut c = ExperimentConfig::new(params, 9);
+    c.fill_ops = 100;
+    c.total_ops = 120;
+    c
 }
 
 /// One measured benchmark case.
@@ -384,10 +401,17 @@ fn main() {
             || normal_mode_events(firewall),
         ));
     }
+    let small = small_recovery_config();
     cases.push(bench(
         "full_fault_recovery_cycle/node_failure_8",
         samples,
-        recovery_cycle_events,
+        || recovery_cycle_events(&small, NodeId(3)),
+    ));
+    let large = fig55_recovery_config();
+    cases.push(bench(
+        "full_fault_recovery_cycle/node_failure_128",
+        samples,
+        || recovery_cycle_events(&large, NodeId(67)),
     ));
 
     if let Ok(path) = std::env::var("FLASH_BENCH_JSON") {

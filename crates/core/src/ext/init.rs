@@ -268,16 +268,16 @@ impl RecoveryExt {
             } else if !changed && round > 1 {
                 // View stable for a full round => complete: compute the
                 // round bound (2h, or the tighter center-based estimate).
-                let design = self.design(st);
+                let design = st.fabric.design_graph();
                 let view = &self.nodes[node as usize].view;
                 let b = if self.cfg.center_diameter_bound {
                     // Two sweeps + reverse distances + up to 4 candidate
                     // eccentricities + the 2h fallback: ~8 BFS traversals.
                     cost += 8 * self.cfg.bft_per_node_instr * n;
-                    view.round_bound_center(&design)
+                    view.round_bound_center(design)
                 } else {
                     cost += self.cfg.bft_per_node_instr * n;
-                    view.round_bound(&design)
+                    view.round_bound(design)
                 };
                 self.nodes[node as usize].bound = Some(b);
             }

@@ -47,8 +47,9 @@ use crate::msg::{BarrierId, RecMsg};
 use crate::view::{Tree, View};
 use flash_coherence::NodeSet;
 use flash_machine::{Ev, MachineState};
-use flash_net::{Lane, NodeId, RouterId, UGraph};
+use flash_net::{Lane, NodeId, RouterId};
 use flash_sim::{Scheduler, SimTime};
+use phases::RouteMemo;
 use std::collections::{HashMap, HashSet};
 
 /// Timed events private to the recovery algorithm.
@@ -229,7 +230,8 @@ pub struct RecoveryExt {
     /// Algorithm parameters.
     pub cfg: RecoveryConfig,
     nodes: Vec<NodeRec>,
-    design: Option<UGraph>,
+    /// The last up*/down* tables phase 3 computed, with their inputs.
+    route_memo: Option<RouteMemo>,
     /// Hive failure units: when set, a node whose unit lost any member
     /// shuts itself down after recovery (Section 3.3).
     units: Option<Vec<NodeSet>>,
@@ -251,7 +253,7 @@ impl RecoveryExt {
         RecoveryExt {
             cfg,
             nodes: (0..n_nodes).map(|_| NodeRec::new()).collect(),
-            design: None,
+            route_memo: None,
             units: None,
             report: RecoveryReport::default(),
             entries: PhaseEntries::default(),
@@ -322,12 +324,6 @@ impl RecoveryExt {
             .collect()
     }
 
-    fn design(&mut self, st: &St) -> UGraph {
-        self.design
-            .get_or_insert_with(|| st.fabric.design_graph().clone())
-            .clone()
-    }
-
     // ------------------------------------------------------------------
     // Message plumbing
     // ------------------------------------------------------------------
@@ -341,14 +337,12 @@ impl RecoveryExt {
         lane: Lane,
         sched: Sched<'_, '_>,
     ) {
-        let route = match self.nodes[from as usize].routes.get(&to) {
+        let rec = &self.nodes[from as usize];
+        let route = match rec.routes.get(&to) {
             Some(r) => Some(r.clone()),
-            None => {
-                let design = self.design(st);
-                self.nodes[from as usize]
-                    .view
-                    .route_between(&design, NodeId(from), NodeId(to))
-            }
+            None => rec
+                .view
+                .route_between(st.fabric.design_graph(), NodeId(from), NodeId(to)),
         };
         let Some(route) = route else {
             st.counters.incr("recovery_msg_unroutable");

@@ -5,11 +5,68 @@
 
 use super::{BarState, Phase, RecEv, RecoveryExt, Sched, St, Step};
 use crate::msg::{BarrierId, RecMsg};
-use crate::view::View;
+use crate::view::{LinkSet, View};
 use flash_coherence::NodeSet;
 use flash_machine::{Ev, FaultSpec};
 use flash_magic::MagicMode;
-use flash_net::{Lane, NodeId, RouterId, UGraph};
+use flash_net::{Lane, NodeId, RouterId, RoutingTables, UGraph};
+use std::sync::Arc;
+
+/// The last up*/down* tables phase 3 computed, with the inputs they were
+/// computed from.
+///
+/// [`flash_net::up_down_tables`] is a pure function of the probed-alive
+/// links, the agreed root and the machine's fixed router count, so every
+/// survivor of one recovery derives the same tables from the same
+/// stabilized view. The memo computes them once and hands every later
+/// caller with the same inputs the shared result.
+#[derive(Clone, Debug)]
+pub(super) struct RouteMemo {
+    links_up: LinkSet,
+    root: NodeId,
+    tables: Arc<RoutingTables>,
+}
+
+impl RouteMemo {
+    /// The up*/down* tables of `view` rooted at `root` over `n` routers:
+    /// from `memo` when its inputs match, else computed and memoized.
+    fn tables(
+        memo: &mut Option<RouteMemo>,
+        view: &View,
+        root: NodeId,
+        n: usize,
+    ) -> Arc<RoutingTables> {
+        if let Some(m) = memo {
+            if m.root == root && m.links_up == view.links_up {
+                return Arc::clone(&m.tables);
+            }
+        }
+        let mut g = UGraph::new(n);
+        for &(a, b) in &view.links_up {
+            g.add_edge(a, b);
+        }
+        let alive = routers_alive(view, root, n);
+        let tables = Arc::new(flash_net::up_down_tables(&g, &alive, RouterId(root.0)));
+        *memo = Some(RouteMemo {
+            links_up: view.links_up.clone(),
+            root,
+            tables: Arc::clone(&tables),
+        });
+        tables
+    }
+}
+
+/// The routers the up*/down* tables of `view` cover: the ends of probed-
+/// alive links (a dead node's router still routes traffic) and the root.
+fn routers_alive(view: &View, root: NodeId, n: usize) -> Vec<bool> {
+    let mut alive = vec![false; n];
+    for &(a, b) in &view.links_up {
+        alive[a as usize] = true;
+        alive[b as usize] = true;
+    }
+    alive[root.index()] = true;
+    alive
+}
 
 impl RecoveryExt {
     // ------------------------------------------------------------------
@@ -56,7 +113,6 @@ impl RecoveryExt {
         if self.entries.p3.is_none() {
             self.entries.p3 = Some(sched.now());
         }
-        let design = self.design(st);
         let rec = &self.nodes[node as usize];
         let inc = rec.inc;
         let view = rec.view.clone();
@@ -78,7 +134,7 @@ impl RecoveryExt {
         st.nodes[node as usize].node_map.reprogram(&effective);
 
         // Barrier tree for the rest of the algorithm.
-        let tree = view.bft_tree(&design);
+        let tree = view.bft_tree(st.fabric.design_graph());
         self.nodes[node as usize].tree = Some(tree);
         self.nodes[node as usize].bars = BarrierId::ALL
             .iter()
@@ -168,26 +224,16 @@ impl RecoveryExt {
         node: u16,
         sched: Sched<'_, '_>,
     ) {
-        let design = self.design(st);
-        let view = self.nodes[node as usize].view.clone();
-        // Router graph from probed-alive links; a dead node's router still
-        // routes traffic.
-        let n = design.len();
-        let mut g = UGraph::new(n);
-        let mut alive = vec![false; n];
-        for &(a, b) in &view.links_up {
-            g.add_edge(a, b);
-            alive[a as usize] = true;
-            alive[b as usize] = true;
-        }
+        let n = st.fabric.design_graph().len();
+        let view = &self.nodes[node as usize].view;
         let Some(root) = view.root() else { return };
-        alive[root.index()] = true;
-        let tables = flash_net::up_down_tables(&g, &alive, RouterId(root.0));
+        let tables = RouteMemo::tables(&mut self.route_memo, view, root, n);
         // Install our own router's row.
         st.install_router_row(RouterId(node), &tables);
         // The root additionally programs routers not owned by any live node
         // (routers of failed nodes that survived the fault).
-        if view.root() == Some(NodeId(node)) {
+        if root == NodeId(node) {
+            let alive = routers_alive(view, root, n);
             for r in 0..n as u16 {
                 if alive[r as usize] && !view.live_nodes().contains(NodeId(r)) {
                     st.install_router_row(RouterId(r), &tables);
@@ -300,5 +346,99 @@ impl RecoveryExt {
         if self.done_for_all(st, &self.done_p4) {
             self.active = false;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{prepare_fault_experiment, ExperimentConfig};
+    use flash_machine::MachineParams;
+    use flash_net::{Mesh2D, Topology};
+    use flash_sim::SimDuration;
+
+    /// The 8x8 mesh with node 27 dead and the link 27-28 down, as a
+    /// stabilized phase-2 view would hold it.
+    fn degraded_view() -> View {
+        let m = Mesh2D::new(8, 8);
+        let mut v = View::new();
+        for i in 0..64u16 {
+            v.set_node_up(NodeId(i));
+        }
+        for l in m.links() {
+            v.set_link_up(l.a, l.b);
+        }
+        v.set_node_down(NodeId(27));
+        v.set_link_down(RouterId(27), RouterId(28));
+        v
+    }
+
+    /// What phase 3 computed before the memo: fresh tables for the view.
+    fn fresh(view: &View, root: NodeId) -> RoutingTables {
+        let mut g = UGraph::new(64);
+        for &(a, b) in &view.links_up {
+            g.add_edge(a, b);
+        }
+        flash_net::up_down_tables(&g, &routers_alive(view, root, 64), RouterId(root.0))
+    }
+
+    #[test]
+    fn memo_serves_the_tables_a_fresh_computation_gives() {
+        let view = degraded_view();
+        let root = view.root().unwrap();
+        let mut memo = None;
+        let first = RouteMemo::tables(&mut memo, &view, root, 64);
+        let served = RouteMemo::tables(&mut memo, &view.clone(), root, 64);
+        assert!(Arc::ptr_eq(&first, &served), "second call is a memo hit");
+        assert_eq!(*served, fresh(&view, root));
+    }
+
+    #[test]
+    fn memo_recomputes_on_a_changed_link_or_root() {
+        let view = degraded_view();
+        let root = view.root().unwrap();
+        let mut memo = None;
+        let base = RouteMemo::tables(&mut memo, &view, root, 64);
+
+        let other_root = NodeId(5);
+        let t = RouteMemo::tables(&mut memo, &view, other_root, 64);
+        assert_eq!(*t, fresh(&view, other_root));
+        assert_ne!(*t, *base);
+
+        let base = RouteMemo::tables(&mut memo, &view, root, 64);
+        let mut one_link = view.clone();
+        one_link.set_link_down(RouterId(0), RouterId(1));
+        let t = RouteMemo::tables(&mut memo, &one_link, root, 64);
+        assert_eq!(*t, fresh(&one_link, root));
+        assert_ne!(*t, *base);
+    }
+
+    /// A checkpoint taken after the first survivor computed its routes
+    /// carries the memo; the fork shares its tables and replays the rest
+    /// of recovery bit-identically.
+    #[test]
+    fn checkpoint_carries_the_memo_and_replays_identically() {
+        let mut cfg = ExperimentConfig::new(MachineParams::table_5_1(), 23);
+        cfg.fill_ops = 400;
+        cfg.total_ops = 1_000;
+        let mut m = prepare_fault_experiment(&cfg);
+        m.schedule_fault(
+            m.now() + SimDuration::from_nanos(1),
+            FaultSpec::Node(NodeId(3)),
+        );
+        while m.ext().route_memo.is_none() {
+            m.run_for(SimDuration::from_micros(1));
+        }
+        assert!(!m.ext().report.completed());
+        let mut fork = m.checkpoint().fork();
+        let (a, b) = (m.ext().route_memo.as_ref(), fork.ext().route_memo.as_ref());
+        assert!(Arc::ptr_eq(&a.unwrap().tables, &b.unwrap().tables));
+
+        let budget = m.now() + SimDuration::from_secs(20);
+        m.run_until(budget);
+        fork.run_until(budget);
+        assert_eq!(m.st().obs.merged_hash(), fork.st().obs.merged_hash());
+        assert!(m.ext().report.completed() && fork.ext().report.completed());
+        assert!(fork.st().validate().passed());
     }
 }

@@ -53,4 +53,4 @@ pub use experiment::{
 };
 pub use ext::{RecEv, RecoveryExt, Step};
 pub use msg::{BarrierId, RecMsg};
-pub use view::{Tree, View};
+pub use view::{LinkSet, Tree, View};

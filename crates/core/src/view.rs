@@ -6,12 +6,118 @@
 
 use flash_coherence::NodeSet;
 use flash_net::{NodeId, RouterId, UGraph, MAX_SOURCE_HOPS};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+
+/// A set of links as canonical `(min, max)` router pairs, kept as a
+/// sorted, duplicate-free `Vec`: iteration is in ascending order, lookup is
+/// a binary search, and joining two sets is one linear pass.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LinkSet(Vec<(u16, u16)>);
+
+impl LinkSet {
+    /// Whether the set holds link `k`.
+    pub fn contains(&self, k: &(u16, u16)) -> bool {
+        self.0.binary_search(k).is_ok()
+    }
+
+    /// Adds link `k`.
+    pub(crate) fn insert(&mut self, k: (u16, u16)) {
+        if let Err(i) = self.0.binary_search(&k) {
+            self.0.insert(i, k);
+        }
+    }
+
+    /// Removes link `k`.
+    pub(crate) fn remove(&mut self, k: &(u16, u16)) {
+        if let Ok(i) = self.0.binary_search(k) {
+            self.0.remove(i);
+        }
+    }
+
+    /// The links in ascending `(min, max)` order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (u16, u16)> {
+        self.0.iter()
+    }
+
+    /// Replaces the set with `(self ∪ add) \ minus` in one pass over the
+    /// three sorted sets; returns whether the set changed. Allocates only
+    /// when it does.
+    fn join_minus(&mut self, add: &LinkSet, minus: &LinkSet) -> bool {
+        let (old, add, minus) = (&self.0, &add.0, &minus.0);
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        // While the output still matches a prefix of `old`, only its length
+        // is tracked; the first mismatch starts the new set.
+        let mut kept = 0;
+        let mut fresh: Option<Vec<(u16, u16)>> = None;
+        loop {
+            let next = match (old.get(i), add.get(j)) {
+                (None, None) => break,
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), Some(&y)) => match x.cmp(&y) {
+                    Ordering::Less => {
+                        i += 1;
+                        x
+                    }
+                    Ordering::Greater => {
+                        j += 1;
+                        y
+                    }
+                    Ordering::Equal => {
+                        i += 1;
+                        j += 1;
+                        x
+                    }
+                },
+            };
+            while minus.get(k).is_some_and(|&z| z < next) {
+                k += 1;
+            }
+            if minus.get(k) == Some(&next) {
+                continue;
+            }
+            match &mut fresh {
+                Some(v) => v.push(next),
+                None if old.get(kept) == Some(&next) => kept += 1,
+                None => {
+                    let mut v = Vec::with_capacity(old.len() + add.len());
+                    v.extend_from_slice(&old[..kept]);
+                    v.push(next);
+                    fresh = Some(v);
+                }
+            }
+        }
+        match fresh {
+            Some(v) => self.0 = v,
+            None if kept == old.len() => return false,
+            None => self.0.truncate(kept),
+        }
+        true
+    }
+}
+
+impl<'a> IntoIterator for &'a LinkSet {
+    type Item = &'a (u16, u16);
+    type IntoIter = std::slice::Iter<'a, (u16, u16)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// A node's (partial) knowledge of the machine's health. Knowledge is
 /// three-valued per component (up / down / unknown); `merge` is the join of
 /// the knowledge lattice and is commutative, associative and idempotent, so
 /// exchange order cannot matter.
+///
+/// The setters keep each up set disjoint from its down set: down-knowledge
+/// wins on conflict.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct View {
     /// Nodes known to have answered a recovery ping.
@@ -19,9 +125,9 @@ pub struct View {
     /// Nodes known failed (no ping response, or router dead).
     pub node_down: NodeSet,
     /// Links probed alive, as canonical `(min, max)` router pairs.
-    pub links_up: BTreeSet<(u16, u16)>,
+    pub links_up: LinkSet,
     /// Links probed dead.
-    pub links_down: BTreeSet<(u16, u16)>,
+    pub links_down: LinkSet,
 }
 
 fn canon(a: RouterId, b: RouterId) -> (u16, u16) {
@@ -69,21 +175,23 @@ impl View {
     }
 
     /// Merges another view into this one; returns whether anything changed.
+    ///
+    /// Down-knowledge wins: `down' = down ∪ other.down` and
+    /// `up' = (up ∪ other.up) \ down'`, for nodes and links alike.
     pub fn merge(&mut self, other: &View) -> bool {
-        let before = self.clone();
-        for n in other.node_down.iter() {
-            self.set_node_down(n);
-        }
-        for n in other.node_up.iter() {
-            self.set_node_up(n);
-        }
-        for &(a, b) in &other.links_down {
-            self.set_link_down(RouterId(a), RouterId(b));
-        }
-        for &(a, b) in &other.links_up {
-            self.set_link_up(RouterId(a), RouterId(b));
-        }
-        *self != before
+        let mut node_down = self.node_down;
+        node_down.union_with(&other.node_down);
+        let mut node_up = self.node_up;
+        node_up.union_with(&other.node_up);
+        node_up.subtract(&node_down);
+        let nodes_changed = node_down != self.node_down || node_up != self.node_up;
+        self.node_down = node_down;
+        self.node_up = node_up;
+        let down_changed = self
+            .links_down
+            .join_minus(&other.links_down, &LinkSet::default());
+        let up_changed = self.links_up.join_minus(&other.links_up, &self.links_down);
+        nodes_changed | down_changed | up_changed
     }
 
     /// Nodes known up.
@@ -469,6 +577,107 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
+    }
+}
+
+#[cfg(test)]
+mod merge_properties {
+    use super::*;
+    use flash_net::{Mesh2D, Topology};
+    use flash_sim::DetRng;
+
+    /// A view of the 8x8 mesh built through the setters only, with a
+    /// per-view density so that sparse views (mostly unknown) meet dense
+    /// ones. Some components are set both up and down, in either order.
+    fn random_view(rng: &mut DetRng) -> View {
+        let m = Mesh2D::new(8, 8);
+        let density = [0.05, 0.3, 0.9][rng.index(3)];
+        let mut v = View::new();
+        for i in 0..64u16 {
+            if !rng.chance(density) {
+                continue;
+            }
+            match rng.index(4) {
+                0 => v.set_node_up(NodeId(i)),
+                1 => v.set_node_down(NodeId(i)),
+                2 => {
+                    v.set_node_up(NodeId(i));
+                    v.set_node_down(NodeId(i));
+                }
+                _ => {
+                    v.set_node_down(NodeId(i));
+                    v.set_node_up(NodeId(i));
+                }
+            }
+        }
+        for l in m.links() {
+            if !rng.chance(density) {
+                continue;
+            }
+            match rng.index(4) {
+                0 => v.set_link_up(l.a, l.b),
+                1 => v.set_link_down(l.b, l.a),
+                2 => {
+                    v.set_link_up(l.a, l.b);
+                    v.set_link_down(l.a, l.b);
+                }
+                _ => {
+                    v.set_link_down(l.b, l.a);
+                    v.set_link_up(l.a, l.b);
+                }
+            }
+        }
+        v
+    }
+
+    /// The reference merge: a fold of `other` into `view` through the
+    /// setters (downs first, so down-knowledge wins), with "changed"
+    /// decided by comparing against a snapshot.
+    fn reference_merge(view: &mut View, other: &View) -> bool {
+        let before = view.clone();
+        for n in other.node_down.iter() {
+            view.set_node_down(n);
+        }
+        for n in other.node_up.iter() {
+            view.set_node_up(n);
+        }
+        for &(a, b) in &other.links_down {
+            view.set_link_down(RouterId(a), RouterId(b));
+        }
+        for &(a, b) in &other.links_up {
+            view.set_link_up(RouterId(a), RouterId(b));
+        }
+        *view != before
+    }
+
+    fn strictly_ascending(set: &LinkSet) -> bool {
+        set.iter().zip(set.iter().skip(1)).all(|(x, y)| x < y)
+    }
+
+    #[test]
+    fn merge_matches_the_setter_fold() {
+        for case in 0..400u64 {
+            let mut rng = DetRng::new(0x3E26E ^ case);
+            let a = random_view(&mut rng);
+            let b = random_view(&mut rng);
+            // Against an unrelated view, and against views that hold
+            // nothing new (a subset, and the view itself).
+            let mut sub = a.clone();
+            sub.merge(&b);
+            for other in [&b, &a, &sub] {
+                let (mut fast, mut slow) = (a.clone(), a.clone());
+                let changed = fast.merge(other);
+                assert_eq!(changed, reference_merge(&mut slow, other), "case {case}");
+                assert_eq!(fast, slow, "case {case}");
+                assert!(strictly_ascending(&fast.links_up), "case {case}");
+                assert!(strictly_ascending(&fast.links_down), "case {case}");
+            }
+            // Merging a result back into one of its inputs' joins is a no-op.
+            let mut again = sub.clone();
+            assert!(!again.merge(&a), "case {case}");
+            assert!(!again.merge(&b), "case {case}");
+            assert_eq!(again, sub, "case {case}");
+        }
     }
 }
 

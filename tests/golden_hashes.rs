@@ -21,6 +21,21 @@ fn tiny_experiment(fault: FaultSpec) -> u64 {
     out.trace_hash
 }
 
+/// A fault on the 64-node (8x8) mesh: large enough that the recovery
+/// views carry dead links and the cwn graph bridges failed routers.
+fn mesh64_experiment(fault: FaultSpec) -> u64 {
+    let mut params = MachineParams::table_5_1();
+    params.n_nodes = 64;
+    params.mem_mb_per_node = 1;
+    params.l2_mb = 1.0 / 16.0;
+    let mut cfg = ExperimentConfig::new(params, 23);
+    cfg.fill_ops = 40;
+    cfg.total_ops = 60;
+    let out = run_fault_experiment(&cfg, fault);
+    assert!(out.finished && out.passed());
+    out.trace_hash
+}
+
 /// Runs an 8-node schedule of `mode` and asserts it finished clean.
 fn run_events(mode: Mode, seed: u64, events: Vec<FaultEvent>) -> RunRecord {
     let s = Schedule {
@@ -108,6 +123,22 @@ fn lossy_link_on_tiny_machine() {
     assert_eq!(
         tiny_experiment(FaultSpec::LossyLink(RouterId(0), RouterId(1), 60_000)),
         0x8161befe0f8a0c27
+    );
+}
+
+#[test]
+fn router_failure_on_mesh64() {
+    assert_eq!(
+        mesh64_experiment(FaultSpec::Router(RouterId(27))),
+        0x893d03dbb7a8b19f
+    );
+}
+
+#[test]
+fn link_failure_on_mesh64() {
+    assert_eq!(
+        mesh64_experiment(FaultSpec::Link(RouterId(27), RouterId(28))),
+        0x017e2a7daa08239c
     );
 }
 

@@ -13,7 +13,12 @@
 //! * `normal_mode_*` / `full_fault_recovery_cycle/*` — the full machine in
 //!   normal operation and across one complete fault-recovery cycle, on the
 //!   8-node Table 5.1 machine and on the 128-node mesh of Fig 5.5, where
-//!   the recovery views are large.
+//!   the recovery views are large;
+//! * `machine_validate/fig55_128` — one oracle `validate()` pass over the
+//!   recovered 128-node Fig 5.5 machine; an "event" is one line checked;
+//! * `machine_checkpoint_fork/table_5_1` — a checkpoint and a fork of the
+//!   warm Table 5.3 machine (the 8-node Table 5.1 machine after its 3000-op
+//!   fill); an "event" is one homed line copied.
 //!
 //! Every case reports events/sec and ns/event derived from the best run.
 //!
@@ -28,8 +33,10 @@
 //!   `BENCH_sim_speed.json` baseline and exit non-zero if any shared case
 //!   regressed by more than 20% in events/sec.
 
-use flash_bench::runs_from_env;
-use flash_core::{build_machine, prepare_fault_experiment, ExperimentConfig, RecoveryConfig};
+use flash_bench::{runs_from_env, table_5_3_experiment};
+use flash_core::{
+    build_machine, prepare_fault_experiment, ExperimentConfig, FcMachine, RecoveryConfig,
+};
 use flash_machine::{FaultSpec, MachineParams, RandomFill};
 use flash_net::{DeliveryNote, Fabric, Lane, Mesh2D, NetEv, NetParams, NodeId, Packet, RouterId};
 use flash_sim::{DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime, World};
@@ -190,15 +197,33 @@ fn normal_mode_events(firewall: bool) -> u64 {
 }
 
 /// One full fault-recovery cycle (the Section 5.2 methodology) with a
-/// node failure of `victim`; returns engine events processed.
-fn recovery_cycle_events(cfg: &ExperimentConfig, victim: NodeId) -> u64 {
+/// node failure of `victim`; returns the drained machine.
+fn recovered_machine(cfg: &ExperimentConfig, victim: NodeId) -> FcMachine {
     let mut m = prepare_fault_experiment(cfg);
     let inject_at = m.now() + SimDuration::from_nanos(1);
     m.schedule_fault(inject_at, FaultSpec::Node(victim));
     let outcome = m.run_until(m.now() + SimDuration::from_secs(20));
     assert_eq!(outcome, RunOutcome::Drained, "recovery cycle did not drain");
     assert!(m.st().validate().passed(), "oracle validation failed");
-    m.events_processed()
+    m
+}
+
+/// One recovery cycle; returns engine events processed.
+fn recovery_cycle_events(cfg: &ExperimentConfig, victim: NodeId) -> u64 {
+    recovered_machine(cfg, victim).events_processed()
+}
+
+/// One `validate()` pass; returns the lines it checked.
+fn validate_lines(m: &FcMachine) -> u64 {
+    let report = m.st().validate();
+    assert!(report.passed(), "oracle validation failed");
+    report.lines_checked
+}
+
+/// A checkpoint and a fork of `m`; returns the lines homed on the machine.
+fn checkpoint_fork_lines(m: &FcMachine) -> u64 {
+    let fork = std::hint::black_box(m.checkpoint().fork());
+    fork.st().layout.total_lines()
 }
 
 /// The 8-node Table 5.1 machine: fill, fault and drain all show.
@@ -413,6 +438,15 @@ fn main() {
         samples,
         || recovery_cycle_events(&large, NodeId(67)),
     ));
+    let recovered = recovered_machine(&large, NodeId(67));
+    cases.push(bench("machine_validate/fig55_128", samples, || {
+        validate_lines(&recovered)
+    }));
+    drop(recovered);
+    let warm = prepare_fault_experiment(&table_5_3_experiment(9));
+    cases.push(bench("machine_checkpoint_fork/table_5_1", samples, || {
+        checkpoint_fork_lines(&warm)
+    }));
 
     if let Ok(path) = std::env::var("FLASH_BENCH_JSON") {
         emit_json(&path, samples, &cases);

@@ -307,7 +307,7 @@ fn check_ownership(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
         if st.failed_nodes.contains(node.id) {
             continue;
         }
-        for (line, state) in node.dir.iter_states() {
+        for (line, state) in node.dir.iter_exclusive_or_locked() {
             if let flash_coherence::DirState::Exclusive(owner) = state {
                 if st.failed_nodes.contains(owner) {
                     out.push(Violation::new(
@@ -334,8 +334,7 @@ fn check_versions(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
         if st.failed_nodes.contains(node.id) {
             continue;
         }
-        for (line, _) in node.dir.iter_states() {
-            let mem = node.dir.mem_version(line);
+        for (line, mem) in node.dir.iter_mem_versions() {
             let expected = st.oracle.expected_version(line);
             if mem > expected {
                 out.push(Violation::new(

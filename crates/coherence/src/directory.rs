@@ -117,12 +117,94 @@ pub enum HomeIn {
     },
 }
 
+/// Index of a sharer set in a directory's [`SharerPool`].
+type SetIdx = u32;
+
+/// The stored form of one line's [`DirState`]. The sharer set of `Shared`
+/// and `PendingInvals` lives in the directory's [`SharerPool`] and the slot
+/// holds its index, so a slot takes 8 bytes where a `DirState` takes 136:
+/// with its version, a line costs 16 bytes instead of 144. Few lines are
+/// shared at any one time, so the pool stays small.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    Uncached,
+    Shared(SetIdx),
+    Exclusive(NodeId),
+    PendingInvals {
+        requester: NodeId,
+        pending: SetIdx,
+        needs_data: bool,
+    },
+    PendingRecall {
+        requester: NodeId,
+        owner: NodeId,
+        for_write: bool,
+    },
+    Incoherent,
+}
+
+impl Slot {
+    /// The pool index this slot holds, if any.
+    fn set_idx(self) -> Option<SetIdx> {
+        match self {
+            Slot::Shared(p) | Slot::PendingInvals { pending: p, .. } => Some(p),
+            _ => None,
+        }
+    }
+}
+
+/// The sharer sets of one directory, with a free list so a set released
+/// by one line is reused by the next.
+#[derive(Clone, Debug, Default)]
+struct SharerPool {
+    sets: Vec<NodeSet>,
+    free: Vec<SetIdx>,
+}
+
+impl SharerPool {
+    fn alloc(&mut self, set: NodeSet) -> SetIdx {
+        match self.free.pop() {
+            Some(p) => {
+                self.sets[p as usize] = set;
+                p
+            }
+            None => {
+                self.sets.push(set);
+                (self.sets.len() - 1) as SetIdx
+            }
+        }
+    }
+
+    fn release(&mut self, p: SetIdx) {
+        self.free.push(p);
+    }
+
+    fn clear(&mut self) {
+        self.sets.clear();
+        self.free.clear();
+    }
+}
+
+impl std::ops::Index<SetIdx> for SharerPool {
+    type Output = NodeSet;
+    fn index(&self, p: SetIdx) -> &NodeSet {
+        &self.sets[p as usize]
+    }
+}
+
+impl std::ops::IndexMut<SetIdx> for SharerPool {
+    fn index_mut(&mut self, p: SetIdx) -> &mut NodeSet {
+        &mut self.sets[p as usize]
+    }
+}
+
 /// The directory (and memory image) for the lines homed on one node.
 #[derive(Clone, Debug)]
 pub struct Directory {
     home: NodeId,
     layout: MemLayout,
-    states: Vec<DirState>,
+    slots: Vec<Slot>,
+    sharers: SharerPool,
     versions: Vec<Version>,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
@@ -138,7 +220,8 @@ impl Directory {
         Directory {
             home,
             layout,
-            states: vec![DirState::Uncached; n],
+            slots: vec![Slot::Uncached; n],
+            sharers: SharerPool::default(),
             versions: vec![Version::INITIAL; n],
             counters: Counters::new(),
             incoherent: Vec::new(),
@@ -152,7 +235,7 @@ impl Directory {
 
     /// Number of lines homed here.
     pub fn num_lines(&self) -> usize {
-        self.states.len()
+        self.slots.len()
     }
 
     fn idx(&self, line: LineAddr) -> usize {
@@ -160,9 +243,52 @@ impl Directory {
         self.layout.local_index(line)
     }
 
+    /// The address of the `i`-th line homed here.
+    fn line_at(&self, i: usize) -> LineAddr {
+        LineAddr(self.home.index() as u64 * self.layout.lines_per_node() + i as u64)
+    }
+
+    /// The public form of a stored slot.
+    fn expand(&self, slot: Slot) -> DirState {
+        match slot {
+            Slot::Uncached => DirState::Uncached,
+            Slot::Shared(p) => DirState::Shared(self.sharers[p]),
+            Slot::Exclusive(o) => DirState::Exclusive(o),
+            Slot::PendingInvals {
+                requester,
+                pending,
+                needs_data,
+            } => DirState::PendingInvals {
+                requester,
+                pending: self.sharers[pending],
+                needs_data,
+            },
+            Slot::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            } => DirState::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            },
+            Slot::Incoherent => DirState::Incoherent,
+        }
+    }
+
+    /// Replaces line `i`'s slot, returning the sharer set the old slot held
+    /// (if any) to the pool. A transition that hands the old set on to the
+    /// new slot assigns `slots[i]` directly instead.
+    fn replace_slot(&mut self, i: usize, slot: Slot) {
+        if let Some(p) = self.slots[i].set_idx() {
+            self.sharers.release(p);
+        }
+        self.slots[i] = slot;
+    }
+
     /// The directory state of a line.
     pub fn state(&self, line: LineAddr) -> DirState {
-        self.states[self.idx(line)]
+        self.expand(self.slots[self.idx(line)])
     }
 
     /// The memory image's data version for a line.
@@ -172,7 +298,7 @@ impl Directory {
 
     /// Whether a line is marked incoherent.
     pub fn is_incoherent(&self, line: LineAddr) -> bool {
-        matches!(self.state(line), DirState::Incoherent)
+        matches!(self.slots[self.idx(line)], Slot::Incoherent)
     }
 
     /// Protocol statistics (NAKs sent, unexpected messages, ...).
@@ -197,9 +323,10 @@ impl Directory {
     }
 
     fn on_get(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
-            DirState::Uncached => {
-                self.states[i] = DirState::Shared(NodeSet::singleton(from));
+        match self.slots[i] {
+            Slot::Uncached => {
+                let p = self.sharers.alloc(NodeSet::singleton(from));
+                self.slots[i] = Slot::Shared(p);
                 Outcome::send(
                     from,
                     CohMsg::Data {
@@ -209,9 +336,8 @@ impl Directory {
                     },
                 )
             }
-            DirState::Shared(mut s) => {
-                s.insert(from);
-                self.states[i] = DirState::Shared(s);
+            Slot::Shared(p) => {
+                self.sharers[p].insert(from);
                 Outcome::send(
                     from,
                     CohMsg::Data {
@@ -221,8 +347,8 @@ impl Directory {
                     },
                 )
             }
-            DirState::Exclusive(owner) => {
-                self.states[i] = DirState::PendingRecall {
+            Slot::Exclusive(owner) => {
+                self.slots[i] = Slot::PendingRecall {
                     requester: from,
                     owner,
                     for_write: false,
@@ -235,11 +361,11 @@ impl Directory {
                     },
                 )
             }
-            DirState::PendingInvals { .. } | DirState::PendingRecall { .. } => {
+            Slot::PendingInvals { .. } | Slot::PendingRecall { .. } => {
                 self.counters.incr("naks_sent");
                 Outcome::send(from, CohMsg::Nak { line })
             }
-            DirState::Incoherent => {
+            Slot::Incoherent => {
                 self.counters.incr("incoherent_accesses");
                 Outcome::send(from, CohMsg::IncoherentErr { line })
             }
@@ -255,7 +381,7 @@ impl Directory {
         from: NodeId,
         needs_data: bool,
     ) -> Outcome {
-        self.states[i] = DirState::Exclusive(from);
+        self.replace_slot(i, Slot::Exclusive(from));
         if needs_data {
             Outcome::send(
                 from,
@@ -270,29 +396,42 @@ impl Directory {
         }
     }
 
+    /// Write access for `from` to a line shared through set `p`: the other
+    /// sharers are invalidated and the line locks until they acknowledge,
+    /// or, with no other sharers, exclusivity is granted at once.
+    fn invalidate_others(
+        &mut self,
+        i: usize,
+        p: SetIdx,
+        line: LineAddr,
+        from: NodeId,
+        needs_data: bool,
+    ) -> Outcome {
+        let others = &mut self.sharers[p];
+        others.remove(from);
+        if others.is_empty() {
+            return self.grant_exclusive(i, line, from, needs_data);
+        }
+        let sends = others
+            .iter()
+            .map(|sharer| (sharer, CohMsg::Inval { line }))
+            .collect();
+        // The sharer set carries over as the pending-acknowledgment set.
+        self.slots[i] = Slot::PendingInvals {
+            requester: from,
+            pending: p,
+            needs_data,
+        };
+        Outcome { sends }
+    }
+
     /// An upgrade request: valid only while the requester is still listed
     /// as a sharer — otherwise its copy was invalidated or silently evicted
     /// and the request falls back to the full GetX path.
     fn on_upgrade(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
-            DirState::Shared(s) if s.contains(from) => {
-                let mut others = s;
-                others.remove(from);
-                if others.is_empty() {
-                    self.grant_exclusive(i, line, from, false)
-                } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester: from,
-                        pending: others,
-                        needs_data: false,
-                    };
-                    Outcome {
-                        sends: others
-                            .iter()
-                            .map(|sharer| (sharer, CohMsg::Inval { line }))
-                            .collect(),
-                    }
-                }
+        match self.slots[i] {
+            Slot::Shared(p) if self.sharers[p].contains(from) => {
+                self.invalidate_others(i, p, line, from, false)
             }
             _ => {
                 self.counters.incr("upgrade_fallbacks");
@@ -302,29 +441,11 @@ impl Directory {
     }
 
     fn on_getx(&mut self, i: usize, line: LineAddr, from: NodeId, needs_data: bool) -> Outcome {
-        match self.states[i] {
-            DirState::Uncached => self.grant_exclusive(i, line, from, needs_data),
-            DirState::Shared(s) => {
-                let mut others = s;
-                others.remove(from);
-                if others.is_empty() {
-                    self.grant_exclusive(i, line, from, needs_data)
-                } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester: from,
-                        pending: others,
-                        needs_data,
-                    };
-                    Outcome {
-                        sends: others
-                            .iter()
-                            .map(|sharer| (sharer, CohMsg::Inval { line }))
-                            .collect(),
-                    }
-                }
-            }
-            DirState::Exclusive(owner) => {
-                self.states[i] = DirState::PendingRecall {
+        match self.slots[i] {
+            Slot::Uncached => self.grant_exclusive(i, line, from, needs_data),
+            Slot::Shared(p) => self.invalidate_others(i, p, line, from, needs_data),
+            Slot::Exclusive(owner) => {
+                self.slots[i] = Slot::PendingRecall {
                     requester: from,
                     owner,
                     for_write: true,
@@ -337,11 +458,11 @@ impl Directory {
                     },
                 )
             }
-            DirState::PendingInvals { .. } | DirState::PendingRecall { .. } => {
+            Slot::PendingInvals { .. } | Slot::PendingRecall { .. } => {
                 self.counters.incr("naks_sent");
                 Outcome::send(from, CohMsg::Nak { line })
             }
-            DirState::Incoherent => {
+            Slot::Incoherent => {
                 self.counters.incr("incoherent_accesses");
                 Outcome::send(from, CohMsg::IncoherentErr { line })
             }
@@ -356,24 +477,24 @@ impl Directory {
         version: Version,
         keep_shared: bool,
     ) -> Outcome {
-        match self.states[i] {
-            DirState::Exclusive(owner) if owner == from => {
+        match self.slots[i] {
+            Slot::Exclusive(owner) if owner == from => {
                 self.versions[i] = version;
-                self.states[i] = if keep_shared {
-                    DirState::Shared(NodeSet::singleton(from))
+                self.slots[i] = if keep_shared {
+                    Slot::Shared(self.sharers.alloc(NodeSet::singleton(from)))
                 } else {
-                    DirState::Uncached
+                    Slot::Uncached
                 };
                 Outcome::send(from, CohMsg::PutAck { line })
             }
-            DirState::PendingRecall {
+            Slot::PendingRecall {
                 requester,
                 owner,
                 for_write,
             } if owner == from => {
                 self.versions[i] = version;
                 if for_write {
-                    self.states[i] = DirState::Exclusive(requester);
+                    self.slots[i] = Slot::Exclusive(requester);
                     Outcome::send(
                         requester,
                         CohMsg::Data {
@@ -387,7 +508,7 @@ impl Directory {
                     if keep_shared {
                         sharers.insert(owner);
                     }
-                    self.states[i] = DirState::Shared(sharers);
+                    self.slots[i] = Slot::Shared(self.sharers.alloc(sharers));
                     Outcome::send(
                         requester,
                         CohMsg::Data {
@@ -409,21 +530,17 @@ impl Directory {
     }
 
     fn on_inval_ack(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
-            DirState::PendingInvals {
+        match self.slots[i] {
+            Slot::PendingInvals {
                 requester,
-                mut pending,
+                pending,
                 needs_data,
             } => {
+                let pending = &mut self.sharers[pending];
                 pending.remove(from);
                 if pending.is_empty() {
                     self.grant_exclusive(i, line, requester, needs_data)
                 } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester,
-                        pending,
-                        needs_data,
-                    };
                     Outcome::default()
                 }
             }
@@ -443,12 +560,12 @@ impl Directory {
     /// controllers suppress replies during recovery).
     pub fn recovery_put(&mut self, line: LineAddr, version: Version) {
         let i = self.idx(line);
-        if matches!(self.states[i], DirState::Incoherent) {
+        if matches!(self.slots[i], Slot::Incoherent) {
             self.counters.incr("recovery_put_to_incoherent");
             return;
         }
         self.versions[i] = version;
-        self.states[i] = DirState::Uncached;
+        self.replace_slot(i, Slot::Uncached);
     }
 
     /// Scans the directory after the flush barrier: any line still dirty
@@ -457,19 +574,21 @@ impl Directory {
     /// since all caches are now empty. Returns the newly marked lines.
     pub fn scan_and_reset(&mut self) -> Vec<LineAddr> {
         let mut marked = Vec::new();
-        let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for (i, state) in self.states.iter_mut().enumerate() {
-            match state {
-                DirState::Exclusive(_) | DirState::PendingRecall { .. } => {
-                    *state = DirState::Incoherent;
+        let base = self.line_at(0).0;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            match slot {
+                Slot::Exclusive(_) | Slot::PendingRecall { .. } => {
+                    *slot = Slot::Incoherent;
                     marked.push(LineAddr(base + i as u64));
                 }
-                DirState::Incoherent => {}
-                DirState::Uncached | DirState::Shared(_) | DirState::PendingInvals { .. } => {
-                    *state = DirState::Uncached;
+                Slot::Incoherent => {}
+                Slot::Uncached | Slot::Shared(_) | Slot::PendingInvals { .. } => {
+                    *slot = Slot::Uncached;
                 }
             }
         }
+        // No line holds a sharer set any more.
+        self.sharers.clear();
         self.index_marked(&marked);
         marked
     }
@@ -482,42 +601,37 @@ impl Directory {
     /// surviving cached state is preserved. Returns the newly marked lines.
     pub fn scan_and_prune(&mut self, failed: &NodeSet) -> Vec<LineAddr> {
         let mut marked = Vec::new();
-        let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for (i, state) in self.states.iter_mut().enumerate() {
-            match state {
-                DirState::Exclusive(o) if failed.contains(*o) => {
-                    *state = DirState::Incoherent;
+        let base = self.line_at(0).0;
+        let Directory { slots, sharers, .. } = self;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            match *slot {
+                Slot::Exclusive(o) if failed.contains(o) => {
+                    *slot = Slot::Incoherent;
                     marked.push(LineAddr(base + i as u64));
                 }
-                DirState::Exclusive(_) | DirState::Uncached | DirState::Incoherent => {}
-                DirState::Shared(s) => {
-                    s.subtract(failed);
-                    if s.is_empty() {
-                        *state = DirState::Uncached;
-                    }
-                }
-                DirState::PendingInvals { pending, .. } => {
-                    // The upgrade request was cancelled at recovery
-                    // initiation; un-acked sharers may still hold copies
-                    // (over-approximating is safe — absent sharers simply
-                    // ack the next invalidation).
-                    let mut remaining = *pending;
-                    remaining.subtract(failed);
-                    *state = if remaining.is_empty() {
-                        DirState::Uncached
+                Slot::Exclusive(_) | Slot::Uncached | Slot::Incoherent => {}
+                // For `PendingInvals`, the upgrade request was cancelled at
+                // recovery initiation; un-acked sharers may still hold
+                // copies (over-approximating is safe — absent sharers
+                // simply ack the next invalidation).
+                Slot::Shared(p) | Slot::PendingInvals { pending: p, .. } => {
+                    sharers[p].subtract(failed);
+                    *slot = if sharers[p].is_empty() {
+                        sharers.release(p);
+                        Slot::Uncached
                     } else {
-                        DirState::Shared(remaining)
+                        Slot::Shared(p)
                     };
                 }
-                DirState::PendingRecall { owner, .. } => {
-                    if failed.contains(*owner) {
-                        *state = DirState::Incoherent;
+                Slot::PendingRecall { owner, .. } => {
+                    if failed.contains(owner) {
+                        *slot = Slot::Incoherent;
                         marked.push(LineAddr(base + i as u64));
                     } else {
                         // The recall was consumed during the drain; the
                         // owner still holds its dirty copy and the
                         // requester will retry after recovery.
-                        *state = DirState::Exclusive(*owner);
+                        *slot = Slot::Exclusive(owner);
                     }
                 }
             }
@@ -531,8 +645,8 @@ impl Directory {
     /// 4.6). Returns whether the line was incoherent.
     pub fn clear_incoherent(&mut self, line: LineAddr, fresh: Version) -> bool {
         let i = self.idx(line);
-        if matches!(self.states[i], DirState::Incoherent) {
-            self.states[i] = DirState::Uncached;
+        if matches!(self.slots[i], Slot::Incoherent) {
+            self.slots[i] = Slot::Uncached;
             self.versions[i] = fresh;
             if let Ok(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.remove(p);
@@ -547,12 +661,12 @@ impl Directory {
     /// identified a specific lost line).
     pub fn mark_incoherent(&mut self, line: LineAddr) {
         let i = self.idx(line);
-        if !matches!(self.states[i], DirState::Incoherent) {
+        if !matches!(self.slots[i], Slot::Incoherent) {
             if let Err(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.insert(p, line);
             }
         }
-        self.states[i] = DirState::Incoherent;
+        self.replace_slot(i, Slot::Incoherent);
     }
 
     /// The lines currently marked incoherent, in ascending address order —
@@ -575,11 +689,36 @@ impl Directory {
 
     /// Iterates over `(line, state)` for all lines homed here.
     pub fn iter_states(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
-        let base = self.home.index() as u64 * self.layout.lines_per_node();
-        self.states
+        self.slots
             .iter()
             .enumerate()
-            .map(move |(i, s)| (LineAddr(base + i as u64), *s))
+            .map(move |(i, s)| (self.line_at(i), self.expand(*s)))
+    }
+
+    /// Iterates over `(line, state)` for the lines homed here that are
+    /// `Exclusive`, `PendingInvals` or `PendingRecall`, in ascending
+    /// address order: the lines a remote node owns or the protocol has
+    /// locked. Cheaper than filtering [`Directory::iter_states`], because
+    /// it skips the other lines without building their states.
+    pub fn iter_exclusive_or_locked(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| {
+                matches!(
+                    s,
+                    Slot::Exclusive(_) | Slot::PendingInvals { .. } | Slot::PendingRecall { .. }
+                )
+            })
+            .map(move |(i, s)| (self.line_at(i), self.expand(*s)))
+    }
+
+    /// Iterates over `(line, memory version)` for all lines homed here.
+    pub fn iter_mem_versions(&self) -> impl Iterator<Item = (LineAddr, Version)> + '_ {
+        self.versions
+            .iter()
+            .enumerate()
+            .map(move |(i, v)| (self.line_at(i), *v))
     }
 }
 
@@ -936,5 +1075,392 @@ mod upgrade_tests {
         let marked = d.scan_and_reset();
         assert!(marked.is_empty());
         assert_eq!(d.incoherent_lines(), scan(&d).as_slice());
+    }
+}
+
+/// The directory as it was before compact slots: one full [`DirState`]
+/// per line. Kept as a differential-testing oracle for the slot and
+/// sharer-pool storage above.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) struct RefDirectory {
+        base: u64,
+        pub(super) states: Vec<DirState>,
+        pub(super) versions: Vec<Version>,
+    }
+
+    impl RefDirectory {
+        pub(super) fn new(home: NodeId, layout: MemLayout) -> Self {
+            let n = layout.lines_per_node() as usize;
+            RefDirectory {
+                base: home.index() as u64 * layout.lines_per_node(),
+                states: vec![DirState::Uncached; n],
+                versions: vec![Version::INITIAL; n],
+            }
+        }
+
+        fn i(&self, line: LineAddr) -> usize {
+            (line.0 - self.base) as usize
+        }
+
+        fn data(&self, i: usize, line: LineAddr, to: NodeId, exclusive: bool) -> Outcome {
+            let version = self.versions[i];
+            Outcome::send(
+                to,
+                CohMsg::Data {
+                    line,
+                    version,
+                    exclusive,
+                },
+            )
+        }
+
+        fn grant(&mut self, i: usize, line: LineAddr, from: NodeId, needs_data: bool) -> Outcome {
+            self.states[i] = DirState::Exclusive(from);
+            if needs_data {
+                self.data(i, line, from, true)
+            } else {
+                Outcome::send(from, CohMsg::UpgradeAck { line })
+            }
+        }
+
+        fn write(&mut self, i: usize, line: LineAddr, from: NodeId, needs_data: bool) -> Outcome {
+            match self.states[i] {
+                DirState::Uncached => self.grant(i, line, from, needs_data),
+                DirState::Shared(mut others) => {
+                    others.remove(from);
+                    if others.is_empty() {
+                        return self.grant(i, line, from, needs_data);
+                    }
+                    self.states[i] = DirState::PendingInvals {
+                        requester: from,
+                        pending: others,
+                        needs_data,
+                    };
+                    Outcome {
+                        sends: others.iter().map(|s| (s, CohMsg::Inval { line })).collect(),
+                    }
+                }
+                DirState::Exclusive(owner) => {
+                    self.states[i] = DirState::PendingRecall {
+                        requester: from,
+                        owner,
+                        for_write: true,
+                    };
+                    Outcome::send(
+                        owner,
+                        CohMsg::Fetch {
+                            line,
+                            for_write: true,
+                        },
+                    )
+                }
+                DirState::PendingInvals { .. } | DirState::PendingRecall { .. } => {
+                    Outcome::send(from, CohMsg::Nak { line })
+                }
+                DirState::Incoherent => Outcome::send(from, CohMsg::IncoherentErr { line }),
+            }
+        }
+
+        pub(super) fn handle(&mut self, line: LineAddr, input: HomeIn) -> Outcome {
+            let i = self.i(line);
+            match (input, self.states[i]) {
+                (HomeIn::Get { from }, DirState::Uncached) => {
+                    self.states[i] = DirState::Shared(NodeSet::singleton(from));
+                    self.data(i, line, from, false)
+                }
+                (HomeIn::Get { from }, DirState::Shared(mut s)) => {
+                    s.insert(from);
+                    self.states[i] = DirState::Shared(s);
+                    self.data(i, line, from, false)
+                }
+                (HomeIn::Get { from }, DirState::Exclusive(owner)) => {
+                    self.states[i] = DirState::PendingRecall {
+                        requester: from,
+                        owner,
+                        for_write: false,
+                    };
+                    Outcome::send(
+                        owner,
+                        CohMsg::Fetch {
+                            line,
+                            for_write: false,
+                        },
+                    )
+                }
+                (HomeIn::Get { from }, _) => self.read_refusal(i, line, from),
+                (HomeIn::GetX { from }, _) => self.write(i, line, from, true),
+                (HomeIn::Upgrade { from }, DirState::Shared(s)) if s.contains(from) => {
+                    self.write(i, line, from, false)
+                }
+                (HomeIn::Upgrade { from }, _) => self.write(i, line, from, true),
+                (
+                    HomeIn::Put {
+                        from,
+                        version,
+                        keep_shared,
+                    },
+                    DirState::Exclusive(owner),
+                ) if owner == from => {
+                    self.versions[i] = version;
+                    self.states[i] = if keep_shared {
+                        DirState::Shared(NodeSet::singleton(from))
+                    } else {
+                        DirState::Uncached
+                    };
+                    Outcome::send(from, CohMsg::PutAck { line })
+                }
+                (
+                    HomeIn::Put {
+                        from,
+                        version,
+                        keep_shared,
+                    },
+                    DirState::PendingRecall {
+                        requester,
+                        owner,
+                        for_write,
+                    },
+                ) if owner == from => {
+                    self.versions[i] = version;
+                    if for_write {
+                        self.states[i] = DirState::Exclusive(requester);
+                    } else {
+                        let mut sharers = NodeSet::singleton(requester);
+                        if keep_shared {
+                            sharers.insert(owner);
+                        }
+                        self.states[i] = DirState::Shared(sharers);
+                    }
+                    self.data(i, line, requester, for_write)
+                }
+                (HomeIn::Put { from, .. }, _) => Outcome::send(from, CohMsg::PutAck { line }),
+                (
+                    HomeIn::InvalAck { from },
+                    DirState::PendingInvals {
+                        requester,
+                        mut pending,
+                        needs_data,
+                    },
+                ) => {
+                    pending.remove(from);
+                    if pending.is_empty() {
+                        return self.grant(i, line, requester, needs_data);
+                    }
+                    self.states[i] = DirState::PendingInvals {
+                        requester,
+                        pending,
+                        needs_data,
+                    };
+                    Outcome::default()
+                }
+                (HomeIn::InvalAck { .. }, _) => Outcome::default(),
+            }
+        }
+
+        /// A read of a locked or incoherent line.
+        fn read_refusal(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
+            if self.states[i] == DirState::Incoherent {
+                Outcome::send(from, CohMsg::IncoherentErr { line })
+            } else {
+                Outcome::send(from, CohMsg::Nak { line })
+            }
+        }
+
+        pub(super) fn recovery_put(&mut self, line: LineAddr, version: Version) {
+            let i = self.i(line);
+            if self.states[i] != DirState::Incoherent {
+                self.versions[i] = version;
+                self.states[i] = DirState::Uncached;
+            }
+        }
+
+        pub(super) fn scan_and_reset(&mut self) -> Vec<LineAddr> {
+            let mut marked = Vec::new();
+            for (i, state) in self.states.iter_mut().enumerate() {
+                *state = match state {
+                    DirState::Exclusive(_) | DirState::PendingRecall { .. } => {
+                        marked.push(LineAddr(self.base + i as u64));
+                        DirState::Incoherent
+                    }
+                    DirState::Incoherent => DirState::Incoherent,
+                    _ => DirState::Uncached,
+                };
+            }
+            marked
+        }
+
+        pub(super) fn scan_and_prune(&mut self, failed: &NodeSet) -> Vec<LineAddr> {
+            let mut marked = Vec::new();
+            for (i, state) in self.states.iter_mut().enumerate() {
+                let remaining = |mut s: NodeSet| {
+                    s.subtract(failed);
+                    if s.is_empty() {
+                        DirState::Uncached
+                    } else {
+                        DirState::Shared(s)
+                    }
+                };
+                *state = match *state {
+                    DirState::Exclusive(o) | DirState::PendingRecall { owner: o, .. }
+                        if failed.contains(o) =>
+                    {
+                        marked.push(LineAddr(self.base + i as u64));
+                        DirState::Incoherent
+                    }
+                    DirState::PendingRecall { owner, .. } => DirState::Exclusive(owner),
+                    DirState::Shared(s) | DirState::PendingInvals { pending: s, .. } => {
+                        remaining(s)
+                    }
+                    other => other,
+                };
+            }
+            marked
+        }
+
+        pub(super) fn clear_incoherent(&mut self, line: LineAddr, fresh: Version) -> bool {
+            let i = self.i(line);
+            let was = self.states[i] == DirState::Incoherent;
+            if was {
+                self.states[i] = DirState::Uncached;
+                self.versions[i] = fresh;
+            }
+            was
+        }
+
+        pub(super) fn mark_incoherent(&mut self, line: LineAddr) {
+            let i = self.i(line);
+            self.states[i] = DirState::Incoherent;
+        }
+    }
+}
+
+#[cfg(test)]
+mod slot_tests {
+    use super::reference::RefDirectory;
+    use super::*;
+    use flash_sim::DetRng;
+
+    #[test]
+    fn slot_stays_compact() {
+        assert!(std::mem::size_of::<Slot>() <= 12);
+    }
+
+    /// Lines holding a sharer set; the pool's live-set count must equal it.
+    fn lines_with_sets(d: &Directory) -> usize {
+        d.slots.iter().filter(|s| s.set_idx().is_some()).count()
+    }
+
+    fn assert_same(d: &Directory, r: &RefDirectory, step: usize) {
+        for (i, (line, state)) in d.iter_states().enumerate() {
+            assert_eq!(state, r.states[i], "state of {line:?} at step {step}");
+            assert_eq!(d.mem_version(line), r.versions[i], "version at step {step}");
+        }
+        let live = d.sharers.sets.len() - d.sharers.free.len();
+        assert_eq!(
+            live,
+            lines_with_sets(d),
+            "sharer pool leaked at step {step}"
+        );
+        let marked: Vec<LineAddr> = d
+            .iter_states()
+            .filter(|(_, s)| *s == DirState::Incoherent)
+            .map(|(l, _)| l)
+            .collect();
+        assert_eq!(d.incoherent_lines(), marked.as_slice());
+        let held: Vec<(LineAddr, DirState)> = d
+            .iter_states()
+            .filter(|(_, s)| matches!(s, DirState::Exclusive(_)) || s.is_locked())
+            .collect();
+        assert_eq!(d.iter_exclusive_or_locked().collect::<Vec<_>>(), held);
+    }
+
+    /// Drives random protocol inputs and recovery entry points through the
+    /// slot directory and the full-state reference, comparing states,
+    /// versions, outcomes and marked lines after every step.
+    fn differential_run(seed: u64, steps: usize) {
+        const NODES: u64 = 6;
+        const LINES: u64 = 8;
+        let layout = MemLayout::new(NODES as usize, LINES);
+        let home = NodeId(2);
+        let mut d = Directory::new(home, layout);
+        let mut r = RefDirectory::new(home, layout);
+        let mut rng = DetRng::new(seed);
+        let mut next_version = 1u64;
+        for step in 0..steps {
+            let line = LineAddr(2 * LINES + rng.below(LINES));
+            let from = NodeId(rng.below(NODES) as u16);
+            match rng.below(100) {
+                0..=79 => {
+                    let input = match rng.below(5) {
+                        0 => HomeIn::Get { from },
+                        1 => HomeIn::GetX { from },
+                        2 => HomeIn::Upgrade { from },
+                        3 => {
+                            next_version += 1;
+                            HomeIn::Put {
+                                from,
+                                version: Version(next_version),
+                                keep_shared: rng.below(2) == 0,
+                            }
+                        }
+                        _ => HomeIn::InvalAck { from },
+                    };
+                    let got = d.handle(line, input);
+                    assert_eq!(got, r.handle(line, input), "{input:?} at step {step}");
+                }
+                80..=85 => {
+                    next_version += 1;
+                    d.recovery_put(line, Version(next_version));
+                    r.recovery_put(line, Version(next_version));
+                }
+                86..=89 => {
+                    let mut failed = NodeSet::new();
+                    for n in 0..NODES {
+                        if rng.below(3) == 0 {
+                            failed.insert(NodeId(n as u16));
+                        }
+                    }
+                    assert_eq!(d.scan_and_prune(&failed), r.scan_and_prune(&failed));
+                }
+                90..=91 => assert_eq!(d.scan_and_reset(), r.scan_and_reset()),
+                92..=95 => {
+                    d.mark_incoherent(line);
+                    r.mark_incoherent(line);
+                }
+                _ => {
+                    next_version += 1;
+                    let fresh = Version(next_version);
+                    assert_eq!(
+                        d.clear_incoherent(line, fresh),
+                        r.clear_incoherent(line, fresh)
+                    );
+                }
+            }
+            assert_same(&d, &r, step);
+        }
+    }
+
+    #[test]
+    fn differential_vs_full_state_reference() {
+        for seed in 0..24 {
+            differential_run(0xD1C7 ^ seed, 3_000);
+        }
+    }
+
+    #[test]
+    fn scan_and_reset_empties_the_pool() {
+        let layout = MemLayout::new(4, 16);
+        let mut d = Directory::new(NodeId(0), layout);
+        for l in 0..8 {
+            d.handle(LineAddr(l), HomeIn::Get { from: NodeId(1) });
+        }
+        d.handle(LineAddr(3), HomeIn::GetX { from: NodeId(2) });
+        assert_eq!(lines_with_sets(&d), 8);
+        d.scan_and_reset();
+        assert!(d.sharers.sets.is_empty() && d.sharers.free.is_empty());
+        assert_eq!(lines_with_sets(&d), 0);
     }
 }

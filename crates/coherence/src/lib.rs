@@ -39,11 +39,13 @@
 mod cache;
 mod directory;
 mod line;
+mod linemap;
 mod msg;
 mod nodeset;
 
 pub use cache::{CachedLine, InsertOutcome, L2Cache};
 pub use directory::{DirState, Directory, HomeIn, Outcome};
 pub use line::{LineAddr, MemLayout, PageAddr, Version, LINES_PER_PAGE, LINE_BYTES};
+pub use linemap::{LineHasher, LineMap, LineSet};
 pub use msg::{CohMsg, CTRL_FLITS, DATA_FLITS};
 pub use nodeset::NodeSet;

@@ -35,7 +35,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         let entries: Vec<(LineAddr, NodeId)> = self.nodes[node.index()]
             .dir
-            .iter_states()
+            .iter_exclusive_or_locked()
             .filter_map(|(line, s)| match s {
                 DirState::Exclusive(o) => Some((line, o)),
                 DirState::PendingRecall { owner, .. } => Some((line, owner)),

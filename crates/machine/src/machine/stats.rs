@@ -5,7 +5,7 @@
 use super::MachineState;
 use crate::oracle::ValidationReport;
 use crate::payload::Payload;
-use flash_coherence::{DirState, LineAddr};
+use flash_coherence::{DirState, LineAddr, LineMap, LineSet, Version};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
     /// Post-recovery validation against the oracle (the check of Table 5.3):
@@ -18,8 +18,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         // (dropped writebacks / exclusive grants) may legitimately be
         // marked incoherent even when they postdate the per-home oracle
         // snapshot.
-        let mut lost_in_transit: std::collections::HashSet<LineAddr> =
-            std::collections::HashSet::new();
+        let mut lost_in_transit: LineSet<LineAddr> = LineSet::default();
         for pkt in self.fabric.dropped_packets() {
             if let Payload::Coh(msg) = &pkt.payload {
                 if msg.carries_sole_copy() {
@@ -30,10 +29,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         // Collect cached copies from all live caches: exclusive (dirty)
         // copies define a line's effective data; any live copy of the
         // latest version proves the data still survives somewhere.
-        let mut dirty: std::collections::HashMap<LineAddr, flash_coherence::Version> =
-            std::collections::HashMap::new();
-        let mut cached: std::collections::HashSet<(LineAddr, flash_coherence::Version)> =
-            std::collections::HashSet::new();
+        let mut dirty: LineMap<LineAddr, Version> = LineMap::default();
+        let mut cached: LineSet<(LineAddr, Version)> = LineSet::default();
         for node in &self.nodes {
             if !node.is_alive() {
                 continue;

@@ -4,7 +4,7 @@
 use crate::params::MachineParams;
 use crate::payload::Payload;
 use crate::workload::{ProcOp, Workload};
-use flash_coherence::{Directory, L2Cache, LineAddr, MemLayout};
+use flash_coherence::{Directory, L2Cache, LineAddr, LineMap, MemLayout};
 use flash_magic::{
     Firewall, IoGuard, MagicMode, NakCounter, NodeMap, Occupancy, RangeCheck, UncachedUnit,
     VectorRemap,
@@ -159,7 +159,7 @@ pub struct NodeCtx<R> {
     /// Remote interventions (invalidations/recalls) that arrived while the
     /// grant for the same line was still in flight; honored when the data
     /// installs — the MSHR-style race buffer.
-    pub pending_remote: std::collections::HashMap<flash_coherence::LineAddr, PendingRemote>,
+    pub pending_remote: LineMap<LineAddr, PendingRemote>,
     /// When the outstanding blocking operation was issued (latency stats).
     pub op_issued_at: flash_sim::SimTime,
     /// Miss-latency statistics: read misses, write misses, uncached ops.
@@ -232,7 +232,7 @@ impl<R> NodeCtx<R> {
             bus_errors: 0,
             saved_unc_read: None,
             os_interrupt_pending: false,
-            pending_remote: std::collections::HashMap::new(),
+            pending_remote: LineMap::default(),
             op_issued_at: flash_sim::SimTime::ZERO,
             lat_read: flash_sim::LatencyHistogram::new(),
             lat_write: flash_sim::LatencyHistogram::new(),

@@ -14,14 +14,13 @@
 //! 2. every accessible line *not* marked incoherent holds the latest
 //!    committed version (no silent data loss or corruption).
 
-use flash_coherence::{LineAddr, Version};
-use std::collections::{HashMap, HashSet};
+use flash_coherence::{LineAddr, LineMap, LineSet, Version};
 
 /// The validation oracle. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
-    expected: HashMap<LineAddr, Version>,
-    may_incoherent: HashSet<LineAddr>,
+    expected: LineMap<LineAddr, Version>,
+    may_incoherent: LineSet<LineAddr>,
     snapshotted: bool,
 }
 

@@ -13,23 +13,27 @@
 //! follow-ups), so the queue is split into two levels:
 //!
 //! * a **near-horizon ring** of [`RING_BUCKETS`] per-tick FIFO buckets
-//!   covering the window `[base_tick, base_tick + RING_BUCKETS)`. The window
-//!   is sized for the dense short-horizon traffic (link hops, controller
-//!   occupancies, zero-delay follow-ups, NAK retries); a push inside it is
+//!   covering the window `[base_tick, base_tick + RING_BUCKETS)`, where
+//!   `base_tick` is the instant of the last pop — the simulation's `now`.
+//!   Every pop moves the window there: a ring pop to the popped bucket's
+//!   tick, an overflow pop to `max(base_tick, popped time)`. So every push
+//!   of a running machine that lands less than the window width after `now`
+//!   goes to the ring, whatever else is pending. A push inside the window is
 //!   an O(1) append to its tick's bucket, and a two-level occupancy bitmap
 //!   (per-bucket bits plus a summary bit per bitmap word) makes finding the
 //!   next non-empty bucket a handful of word operations even when the
 //!   pending set is sparse. Bucket order is push order, so same-instant
 //!   FIFO tie-breaking is free;
-//! * a **far-horizon overflow** `BinaryHeap` holding everything outside the
+//! * a **far-horizon overflow** `BinaryHeap` holding every push outside the
 //!   window (memory-op timeouts, watchdogs, fault arming, and the rare
 //!   past-relative push). These are a small fraction of total traffic, so
-//!   heap churn is off the hot path.
+//!   heap churn is off the hot path. An overflow entry stays in the heap
+//!   when the window later slides over its time.
 //!
 //! `pop` compares the ring head and the heap top by `(time, seq)`, so the
 //! pop sequence is bit-for-bit identical to the seed repository's single
 //! `BinaryHeap` implementation — which is kept below as a `#[cfg(test)]`
-//! differential-testing oracle.
+//! differential-testing oracle — wherever each event was stored.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -115,7 +119,8 @@ pub struct EventQueue<E> {
     summary: Vec<u64>,
     /// Events currently stored in the ring.
     ring_len: usize,
-    /// First tick of the ring window. No ring entry precedes it.
+    /// First tick of the ring window: the last popped instant (0 before
+    /// the first pop). No ring entry precedes it.
     base_tick: u64,
     /// Tick of the earliest non-empty bucket; valid while `ring_len > 0`.
     scan_tick: u64,
@@ -154,25 +159,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.pushed += 1;
         let tick = time.as_nanos();
-        if self.ring_len == 0 {
-            // The ring is empty, so the window may move anywhere. Re-anchor
-            // it at the earliest pending time — unless this push lands beyond
-            // even the re-anchored window. Anchoring the window at a
-            // far-future tick would strand it out there (a cold bucket touch
-            // now, and every nearer push forced onto the heap until the
-            // stranded event pops), so far-horizon pushes skip the ring
-            // entirely and the empty ring keeps pops heap-only.
-            let anchor = match self.overflow.peek() {
-                Some(top) => top.time.as_nanos().min(tick),
-                None => tick,
-            };
-            if tick - anchor >= RING_BUCKETS as u64 {
-                self.overflow.push(Entry { time, seq, event });
-                return;
-            }
-            self.base_tick = anchor;
-            self.insert_ring(tick, seq, event);
-        } else if self.in_window(tick) {
+        if self.in_window(tick) {
             self.insert_ring(tick, seq, event);
         } else {
             self.overflow.push(Entry { time, seq, event });
@@ -216,12 +203,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the ring head, advancing `scan_tick` (and sliding the window
-    /// forward) when its bucket empties.
+    /// Pops the ring head, moving the window to its tick and advancing
+    /// `scan_tick` when its bucket empties.
     fn pop_ring(&mut self) -> (SimTime, E) {
         let idx = (self.scan_tick & RING_MASK) as usize;
         let (_, event) = self.ring[idx].pop_front().expect("scan bucket empty");
         self.ring_len -= 1;
+        // No ring entry precedes the popped tick, so the window may start
+        // there: it reaches a full window width beyond `now`.
+        self.base_tick = self.scan_tick;
         let time = SimTime::from_nanos(self.scan_tick);
         if self.ring[idx].is_empty() {
             self.occ[idx >> 6] &= !(1 << (idx & 63));
@@ -232,10 +222,16 @@ impl<E> EventQueue<E> {
                 self.scan_tick = self.next_occupied(self.scan_tick + 1);
             }
         }
-        // No ring entry precedes scan_tick, so the window may slide up to
-        // it, maximising forward reach for subsequent pushes.
-        self.base_tick = self.scan_tick;
         (time, event)
+    }
+
+    /// Pops the overflow top. The ring head, if any, is later than it, so
+    /// the window may move up to its time (never back, for a past-relative
+    /// entry).
+    fn pop_overflow(&mut self) -> (SimTime, E) {
+        let e = self.overflow.pop().expect("peeked entry vanished");
+        self.base_tick = self.base_tick.max(e.time.as_nanos());
+        (e.time, e.event)
     }
 
     /// Finds the first occupied bucket at tick `from` or later (two-level
@@ -311,8 +307,7 @@ impl<E> EventQueue<E> {
         if from_ring {
             Some(self.pop_ring())
         } else {
-            let e = self.overflow.pop().expect("peeked entry vanished");
-            Some((e.time, e.event))
+            Some(self.pop_overflow())
         }
     }
 
@@ -327,7 +322,7 @@ impl<E> EventQueue<E> {
             }
             false if self.overflow.peek().expect("peeked entry vanished").time == at => {
                 self.popped += 1;
-                Some(self.overflow.pop().expect("peeked entry vanished").event)
+                Some(self.pop_overflow().1)
             }
             _ => None,
         }
@@ -343,6 +338,12 @@ impl<E> EventQueue<E> {
             (Some(a), Some(b)) => a.min(b),
         };
         Some(SimTime::from_nanos(key.0))
+    }
+
+    /// Number of pending events held in the overflow heap.
+    #[cfg(test)]
+    fn overflow_len(&self) -> usize {
+        self.overflow.len()
     }
 
     /// Number of pending events.
@@ -517,16 +518,55 @@ mod tests {
     #[test]
     fn same_instant_fifo_spans_ring_and_overflow() {
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 0u32); // anchors the window at tick 0
+        q.push(SimTime::ZERO, 0u32); // in the window at tick 0 → ring
         q.push(SimTime::from_nanos(200_000), 1); // outside the window → overflow
         assert_eq!(q.pop().unwrap().1, 0);
-        q.push(SimTime::from_nanos(150_000), 2); // ring empty → window rebases
-        q.push(SimTime::from_nanos(200_000), 3); // now in window → ring
-                                                 // Seq order at t=200000 must hold across the two levels: 1 before 3.
-        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(150_000), 2));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 1));
+        q.push(SimTime::from_nanos(150_000), 2); // still outside → overflow
+        assert_eq!(q.pop().unwrap().1, 2); // window moves to t=150000
+        q.push(SimTime::from_nanos(200_000), 3); // still outside → overflow
+        q.push(SimTime::from_nanos(150_100), 4); // in the window → ring
+        q.push(SimTime::from_nanos(150_100), 5);
+        assert_eq!(q.overflow_len(), 2);
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(150_100), 4));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(150_100), 5));
+        // Seq order at t=200000 must hold across the two levels: 1, 3 and 6
+        // wait in the heap, 7 lands in the ring once the window reaches it.
+        q.push(SimTime::from_nanos(200_000), 6);
+        assert_eq!(q.overflow_len(), 3);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!((t.as_nanos(), e), (200_000, 1));
+        q.push(SimTime::from_nanos(200_000), 7); // window at 200000 → ring
+        assert_eq!(q.overflow_len(), 2);
         assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 3));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 6));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 7));
         assert!(q.pop().is_none());
+    }
+
+    /// The window follows `now`, not the earliest pending event: after a
+    /// far push and an earlier pop, a push just after the popped instant
+    /// goes to the ring rather than the overflow heap.
+    #[test]
+    fn window_is_anchored_at_the_last_pop() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5_000), 'a');
+        q.push(SimTime::from_nanos(100), 'b');
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 'b')));
+        q.push(SimTime::from_nanos(150), 'c');
+        assert_eq!(q.overflow_len(), 0, "a near push fell back to the heap");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(150), 'c')));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5_000), 'a')));
+        // A far push with the ring empty must not strand the window: the
+        // next near push still lands in the ring.
+        q.push(SimTime::from_nanos(1_000_000), 'd');
+        q.push(SimTime::from_nanos(5_010), 'e');
+        assert_eq!(q.overflow_len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5_010), 'e')));
+        // Popping the far entry moves the window out to it.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1_000_000), 'd')));
+        q.push(SimTime::from_nanos(1_000_003), 'f');
+        assert_eq!(q.overflow_len(), 0);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1_000_003), 'f')));
     }
 
     #[test]
@@ -598,6 +638,55 @@ mod tests {
     fn differential_vs_heap_oracle() {
         for seed in 0..32 {
             differential_run(0xA11CE ^ seed, 4_000);
+        }
+    }
+
+    /// A sparse pattern: short bursts of near events, each followed by a
+    /// far timeout, so the ring empties again and again while the heap
+    /// still holds timeouts — some of which the window later slides over.
+    fn sparse_differential_run(seed: u64, rounds: usize) {
+        let mut q = EventQueue::new();
+        let mut o = HeapQueue::new();
+        let mut rng = DetRng::new(seed);
+        let mut now = 0u64;
+        let mut tag = 0u64;
+        let mut push = |q: &mut EventQueue<u64>, o: &mut HeapQueue<u64>, t: u64| {
+            q.push(SimTime::from_nanos(t), tag);
+            o.push(SimTime::from_nanos(t), tag);
+            tag += 1;
+        };
+        for _ in 0..rounds {
+            for _ in 0..1 + rng.below(6) {
+                push(&mut q, &mut o, now + rng.below(200));
+            }
+            let timeout = 50_000 + rng.below(60_000);
+            push(&mut q, &mut o, now + timeout);
+            if rng.below(8) == 0 {
+                push(&mut q, &mut o, now + timeout); // same-instant timeout
+            }
+            // Drain until the ring is empty (and sometimes further, into
+            // the timeouts), comparing every pop.
+            let pops = q.len() - q.overflow_len() + rng.below(3) as usize;
+            for _ in 0..pops {
+                assert_eq!(q.peek_time(), o.peek_time(), "peek diverged");
+                let got = q.pop();
+                assert_eq!(got, o.pop(), "pop diverged (seed {seed})");
+                if let Some((t, _)) = got {
+                    now = t.as_nanos();
+                }
+            }
+            assert_eq!(q.len(), o.len());
+        }
+        while let Some(got) = q.pop() {
+            assert_eq!(Some(got), o.pop(), "drain diverged (seed {seed})");
+        }
+        assert_eq!(o.pop(), None);
+    }
+
+    #[test]
+    fn sparse_differential_vs_heap_oracle() {
+        for seed in 0..16 {
+            sparse_differential_run(0x5BA25E ^ seed, 2_000);
         }
     }
 

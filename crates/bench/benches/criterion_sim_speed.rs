@@ -20,20 +20,20 @@
 //!   warm Table 5.3 machine (the 8-node Table 5.1 machine after its 3000-op
 //!   fill); an "event" is one homed line copied.
 //!
-//! Every case reports events/sec and ns/event derived from the best run.
+//! Every case reports events/sec and ns/event derived from the best run,
+//! as one row of the `criterion_sim_speed` result sheet.
 //!
 //! Uses a self-contained min-of-N timing harness (the workspace carries no
-//! external benchmarking dependency); `FLASH_RUNS` scales the sample count.
+//! external benchmarking dependency).
 //!
 //! Environment knobs:
 //!
-//! * `FLASH_RUNS=N` — samples per case (default 10; CI quick mode uses 3);
-//! * `FLASH_BENCH_JSON=path` — additionally write the results as JSON;
-//! * `FLASH_BENCH_CHECK=path` — compare the run against a committed
-//!   `BENCH_sim_speed.json` baseline and exit non-zero if any shared case
-//!   regressed by more than 20% in events/sec.
+//! * `FLASH_RUNS=N` — samples per case (default 10; CI uses 7);
+//! * `FLASH_BENCH_CHECK=path` — gate the sheet on the `events_per_sec`
+//!   floors of the bench ledger at `path` (the repo's `BENCH_ledger.json`)
+//!   and exit non-zero if any case falls below its floor.
 
-use flash_bench::{runs_from_env, table_5_3_experiment};
+use flash_bench::{check_floors_from_env, runs_from_env, table_5_3_experiment, ResultSheet};
 use flash_core::{
     build_machine, prepare_fault_experiment, ExperimentConfig, FcMachine, RecoveryConfig,
 };
@@ -247,27 +247,10 @@ fn fig55_recovery_config() -> ExperimentConfig {
     c
 }
 
-/// One measured benchmark case.
-struct Case {
-    name: String,
-    events: u64,
-    best: f64,
-    median: f64,
-    worst: f64,
-}
-
-impl Case {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.best.max(1e-9)
-    }
-    fn ns_per_event(&self) -> f64 {
-        self.best.max(1e-9) * 1e9 / self.events.max(1) as f64
-    }
-}
-
-/// Times `f` over `samples` runs; reports best / median / worst host time
-/// plus events/sec and ns/event derived from the best run.
-fn bench<F: FnMut() -> u64>(name: &str, samples: u64, mut f: F) -> Case {
+/// Times `f` over `samples` runs and appends a row to `sheet`: best /
+/// median / worst host time plus events/sec and ns/event derived from the
+/// best run.
+fn bench<F: FnMut() -> u64>(sheet: &mut ResultSheet, name: &str, samples: u64, mut f: F) {
     let mut times: Vec<(f64, u64)> = Vec::new();
     for _ in 0..samples.max(1) {
         let t = Instant::now();
@@ -276,187 +259,77 @@ fn bench<F: FnMut() -> u64>(name: &str, samples: u64, mut f: F) -> Case {
     }
     times.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (best, events) = times[0];
-    let case = Case {
-        name: name.to_string(),
-        events,
-        best,
-        median: times[times.len() / 2].0,
-        worst: times[times.len() - 1].0,
-    };
+    let median = times[times.len() / 2].0;
+    let worst = times[times.len() - 1].0;
+    let eps = events as f64 / best.max(1e-9);
+    let nspe = best.max(1e-9) * 1e9 / events.max(1) as f64;
     println!(
         "{name:<44} best {best:>9.4}s  median {median:>9.4}s  worst {worst:>9.4}s  \
-         ({eps:.0} events/s, {nspe:.1} ns/event)",
-        best = case.best,
-        median = case.median,
-        worst = case.worst,
-        eps = case.events_per_sec(),
-        nspe = case.ns_per_event(),
+         ({eps:.0} events/s, {nspe:.1} ns/event)"
     );
-    case
-}
-
-/// Writes the results as JSON (no external deps; one case object per line so
-/// the regression checker can parse the file line-wise).
-fn emit_json(path: &str, samples: u64, cases: &[Case]) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"flash-bench/sim-speed/v1\",\n");
-    s.push_str(&format!("  \"samples\": {samples},\n"));
-    s.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        let sep = if i + 1 == cases.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"best_s\": {:.6}, \
-             \"median_s\": {:.6}, \"worst_s\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"ns_per_event\": {:.2}}}{}\n",
-            c.name,
-            c.events,
-            c.best,
-            c.median,
-            c.worst,
-            c.events_per_sec(),
-            c.ns_per_event(),
-            sep,
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, s) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("results written to {path}");
-    }
-}
-
-/// Parses `"name": "x"` / `"events_per_sec": N` pairs from a baseline file.
-/// The last occurrence of each name wins, so a file with both `before` and
-/// `after` sections checks against the `after` (current) numbers.
-///
-/// A case line may carry an explicit `"floor_events_per_sec"` which takes
-/// precedence as the reference: committed measurements are quiet-host bests,
-/// while CI runners vary widely in absolute speed, so the committed floor is
-/// derated to what any healthy run should clear.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out: Vec<(String, f64)> = Vec::new();
-    for line in text.lines() {
-        let Some(name) = extract_str(line, "\"name\":") else {
-            continue;
-        };
-        let Some(eps) = extract_num(line, "\"floor_events_per_sec\":")
-            .or_else(|| extract_num(line, "\"events_per_sec\":"))
-        else {
-            continue;
-        };
-        if let Some(slot) = out.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = eps;
-        } else {
-            out.push((name, eps));
-        }
-    }
-    out
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let start = rest.find('"')? + 1;
-    let end = start + rest[start..].find('"')?;
-    Some(rest[start..end].to_string())
-}
-
-fn extract_num(line: &str, key: &str) -> Option<f64> {
-    let rest = line[line.find(key)? + key.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compares the run against a committed baseline; returns the number of
-/// cases that regressed more than 20% in events/sec.
-fn check_against_baseline(path: &str, cases: &[Case]) -> usize {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            return 1;
-        }
-    };
-    let baseline = parse_baseline(&text);
-    let mut regressions = 0;
-    for c in cases {
-        let Some((_, base_eps)) = baseline.iter().find(|(n, _)| *n == c.name) else {
-            println!("check {:<41} no baseline entry, skipped", c.name);
-            continue;
-        };
-        let eps = c.events_per_sec();
-        let ratio = eps / base_eps.max(1e-9);
-        let verdict = if ratio < 0.8 {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "check {name:<41} {eps:.0} vs baseline {base_eps:.0} events/s ({ratio:.2}x) {verdict}",
-            name = c.name,
-        );
-    }
-    regressions
+    sheet.push(name, &[events as f64, best, median, worst, eps, nspe]);
 }
 
 fn main() {
     let samples = runs_from_env(10);
     println!("simulator host-side throughput ({samples} samples per case)");
-    let mut cases = Vec::new();
-    cases.push(bench("queue_push_pop/near_horizon_200k", samples, || {
+    let mut sheet = ResultSheet::new(
+        "criterion_sim_speed",
+        "host-side simulator throughput (not a paper result)",
+        &[
+            "events",
+            "best_s",
+            "median_s",
+            "worst_s",
+            "events_per_sec",
+            "ns_per_event",
+        ],
+    );
+    let s = &mut sheet;
+    bench(s, "queue_push_pop/near_horizon_200k", samples, || {
         queue_churn(64)
-    }));
-    cases.push(bench("queue_push_pop/far_horizon_200k", samples, || {
+    });
+    bench(s, "queue_push_pop/far_horizon_200k", samples, || {
         queue_churn(1_000_000)
-    }));
-    cases.push(bench("fabric_hop/mesh4x4_table", samples, || {
+    });
+    bench(s, "fabric_hop/mesh4x4_table", samples, || {
         fabric_events(false, 20_000)
-    }));
-    cases.push(bench("fabric_hop/mesh4x4_source", samples, || {
+    });
+    bench(s, "fabric_hop/mesh4x4_source", samples, || {
         fabric_events(true, 20_000)
-    }));
+    });
     for firewall in [false, true] {
-        cases.push(bench(
+        bench(
+            s,
             &format!("normal_mode_16k_ops/firewall={firewall}"),
             samples,
             || normal_mode_events(firewall),
-        ));
+        );
     }
     let small = small_recovery_config();
-    cases.push(bench(
+    bench(
+        s,
         "full_fault_recovery_cycle/node_failure_8",
         samples,
         || recovery_cycle_events(&small, NodeId(3)),
-    ));
+    );
     let large = fig55_recovery_config();
-    cases.push(bench(
+    bench(
+        s,
         "full_fault_recovery_cycle/node_failure_128",
         samples,
         || recovery_cycle_events(&large, NodeId(67)),
-    ));
+    );
     let recovered = recovered_machine(&large, NodeId(67));
-    cases.push(bench("machine_validate/fig55_128", samples, || {
+    bench(s, "machine_validate/fig55_128", samples, || {
         validate_lines(&recovered)
-    }));
+    });
     drop(recovered);
     let warm = prepare_fault_experiment(&table_5_3_experiment(9));
-    cases.push(bench("machine_checkpoint_fork/table_5_1", samples, || {
+    bench(s, "machine_checkpoint_fork/table_5_1", samples, || {
         checkpoint_fork_lines(&warm)
-    }));
+    });
 
-    if let Ok(path) = std::env::var("FLASH_BENCH_JSON") {
-        emit_json(&path, samples, &cases);
-    }
-    if let Ok(path) = std::env::var("FLASH_BENCH_CHECK") {
-        let regressions = check_against_baseline(&path, &cases);
-        if regressions > 0 {
-            eprintln!("{regressions} case(s) regressed >20% vs {path}");
-            std::process::exit(1);
-        }
-        println!("regression check passed (>20% tolerance) vs {path}");
-    }
+    sheet.write();
+    check_floors_from_env(&sheet);
 }

@@ -25,8 +25,8 @@ mod results;
 pub mod sweep;
 
 pub use results::{
-    mark_fault_classes, results_dir, run_fault_classes, ClassTally, ResultSheet, Row, VerdictSheet,
-    FAULT_CLASSES,
+    check_floors, check_floors_from_env, mark_fault_classes, results_dir, run_fault_classes,
+    ClassTally, ResultSheet, Row, VerdictSheet, FAULT_CLASSES,
 };
 pub use sweep::{
     fault_rng_seed, run_checkpoint_groups, sweep_fault_experiments, sweep_parallel_make,

@@ -1,8 +1,10 @@
 //! Machine-readable benchmark results.
 //!
-//! Every figure/table bench writes its rows as JSON next to its console
-//! output so results can be plotted or diffed across runs. Files land in
-//! `target/bench-results/<bench>.json`.
+//! Every bench writes its rows as JSON next to its console output so
+//! results can be plotted or diffed across runs. Files land in
+//! `target/bench-results/<bench>.json`. The gated benches also check their
+//! sheet against the floors committed in the repo-root `BENCH_ledger.json`
+//! ([`check_floors`]).
 //!
 //! Also home to the per-fault-class campaign tally shared by the
 //! `gray_campaign` and `kv_slo` examples: both report campaign outcomes as
@@ -14,7 +16,7 @@ use flash_machine::FaultSpec;
 use flash_obs::{json_escape_str, latency_summary};
 use flash_sim::{LatencyHistogram, SimDuration};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One benchmark's result sheet: named rows of named numeric columns.
 #[derive(Clone, Debug)]
@@ -129,6 +131,102 @@ impl ResultSheet {
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
     }
+}
+
+/// One gated `(bench, case, metric)` triple of the bench ledger.
+#[derive(Clone, Debug, PartialEq)]
+struct Floor {
+    bench: String,
+    case: String,
+    metric: String,
+    floor: f64,
+}
+
+/// The floors of a bench ledger: one object per line inside its
+/// `"floors": [` … `]` block. Nothing outside that block is read, so the
+/// ledger's measurement history may reuse case names freely.
+fn ledger_floors(text: &str) -> Vec<Floor> {
+    text.lines()
+        .skip_while(|l| !l.trim_start().starts_with("\"floors\":"))
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with(']'))
+        .filter_map(|l| {
+            Some(Floor {
+                bench: json_field(l, "bench")?.to_string(),
+                case: json_field(l, "case")?.to_string(),
+                metric: json_field(l, "metric")?.to_string(),
+                floor: json_field(l, "floor")?.parse().ok()?,
+            })
+        })
+        .collect()
+}
+
+/// The value of `"key": …` on a one-object JSON line: the contents of a
+/// string value, or the raw text of a number.
+fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = line[line.find(&pat)? + pat.len()..].trim_start();
+    match rest.strip_prefix('"') {
+        Some(s) => s.split('"').next(),
+        None => rest.split([',', '}']).next().map(str::trim),
+    }
+}
+
+/// Checks `sheet` against the floors the bench ledger at `ledger` commits
+/// for `sheet.bench`, printing one verdict line per case, and returns the
+/// number of failures. A value below its floor fails, as does a floor whose
+/// case or metric the sheet lacks and an unreadable ledger; a case with no
+/// floor is skipped.
+pub fn check_floors(sheet: &ResultSheet, ledger: &Path) -> usize {
+    let text = match std::fs::read_to_string(ledger) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: cannot read bench ledger {}: {e}", ledger.display());
+            return 1;
+        }
+    };
+    let floors: Vec<Floor> = ledger_floors(&text)
+        .into_iter()
+        .filter(|f| f.bench == sheet.bench)
+        .collect();
+    for row in &sheet.rows {
+        if !floors.iter().any(|f| f.case == row.label) {
+            println!("check {:<44} no floor, skipped", row.label);
+        }
+    }
+    let mut failed = 0;
+    for f in &floors {
+        let row = sheet.rows.iter().find(|r| r.label == f.case);
+        let col = sheet.columns.iter().position(|c| *c == f.metric);
+        // An unmeasured case or metric reads as NaN, which fails.
+        let value = row.zip(col).map_or(f64::NAN, |(r, c)| r.values[c]);
+        let ok = value >= f.floor;
+        failed += usize::from(!ok);
+        println!(
+            "check {:<44} {} {value:.2} vs floor {} ({:.2}x) {}",
+            f.case,
+            f.metric,
+            f.floor,
+            value / f.floor,
+            if ok { "ok" } else { "REGRESSED" }
+        );
+    }
+    failed
+}
+
+/// Gates `sheet` when `FLASH_BENCH_CHECK` names a bench ledger: runs
+/// [`check_floors`] and exits non-zero if any floor failed.
+pub fn check_floors_from_env(sheet: &ResultSheet) {
+    let Some(ledger) = std::env::var_os("FLASH_BENCH_CHECK") else {
+        return;
+    };
+    let ledger = Path::new(&ledger);
+    let failed = check_floors(sheet, ledger);
+    if failed > 0 {
+        eprintln!("{failed} floor(s) failed vs {}", ledger.display());
+        std::process::exit(1);
+    }
+    println!("floor check passed vs {}", ledger.display());
 }
 
 /// The fault classes of the per-class result sheets, in row order. A run
@@ -362,6 +460,97 @@ mod tests {
         );
         let abs = PathBuf::from("/tmp/abs-target");
         assert_eq!(resolve_target_dir(abs.clone()), abs);
+    }
+
+    /// A ledger whose history repeats a floor-shaped line for a case the
+    /// floors block does not gate.
+    const LEDGER: &str = r#"{
+  "floors": [
+    {"bench": "b", "case": "fast", "metric": "eps", "floor": 100},
+    {"bench": "other", "case": "slow", "metric": "eps", "floor": 1e9}
+  ],
+  "history": {
+    "b": [
+      {"bench": "b", "case": "slow", "metric": "eps", "floor": 1e12}
+    ]
+  }
+}
+"#;
+
+    /// Checks one sheet of bench `b` against [`LEDGER`] written to a
+    /// per-test temp file.
+    fn check(test: &str, rows: &[(&str, f64)]) -> usize {
+        let ledger = std::env::temp_dir().join(format!("flash-{test}-{}.json", std::process::id()));
+        std::fs::write(&ledger, LEDGER).expect("temp ledger is writable");
+        let mut s = ResultSheet::new("b", "test", &["eps"]);
+        for (label, v) in rows {
+            s.push(*label, &[*v]);
+        }
+        let failed = check_floors(&s, &ledger);
+        std::fs::remove_file(ledger).ok();
+        failed
+    }
+
+    #[test]
+    fn floor_passes_at_its_value_and_fails_below() {
+        assert_eq!(check("edge-at", &[("fast", 100.0)]), 0);
+        assert_eq!(check("edge-below", &[("fast", 99.999)]), 1);
+        assert_eq!(check("edge-nan", &[("fast", f64::NAN)]), 1);
+        // A gated case the run did not measure fails too.
+        assert_eq!(check("edge-unmeasured", &[]), 1);
+    }
+
+    #[test]
+    fn history_lines_and_cases_without_floor_are_skipped() {
+        let floors = ledger_floors(LEDGER);
+        assert_eq!(floors.len(), 2, "{floors:?}");
+        assert!(!floors.iter().any(|f| f.bench == "b" && f.case == "slow"));
+        let rows = [("fast", 100.0), ("slow", 1.0), ("new_case", 0.0)];
+        assert_eq!(check("skip", &rows), 0);
+    }
+
+    #[test]
+    fn missing_ledger_fails() {
+        let ledger = std::env::temp_dir().join("flash-bench-no-such-ledger.json");
+        let s = ResultSheet::new("b", "test", &["eps"]);
+        assert_eq!(check_floors(&s, &ledger), 1);
+    }
+
+    /// Every gated case of the committed ledger, so none can silently lose
+    /// its gate.
+    #[test]
+    fn committed_ledger_gates_exactly_the_twelve_cases() {
+        let text = std::fs::read_to_string(workspace_root().join("BENCH_ledger.json"))
+            .expect("BENCH_ledger.json is committed at the workspace root");
+        let got: Vec<(String, String, String, f64)> = ledger_floors(&text)
+            .into_iter()
+            .map(|f| (f.bench, f.case, f.metric, f.floor))
+            .collect();
+        let floor = |bench: &str, metric: &str, case: &str, floor: f64| {
+            (
+                bench.to_string(),
+                case.to_string(),
+                metric.to_string(),
+                floor,
+            )
+        };
+        let sim = |case, f| floor("criterion_sim_speed", "events_per_sec", case, f);
+        let sweep = |case, f| floor("sweep_fork", "speedup", case, f);
+        let want = vec![
+            sim("queue_push_pop/near_horizon_200k", 41.6e6),
+            sim("queue_push_pop/far_horizon_200k", 24e6),
+            sim("fabric_hop/mesh4x4_table", 9.84e6),
+            sim("fabric_hop/mesh4x4_source", 9.92e6),
+            sim("normal_mode_16k_ops/firewall=false", 3.72e6),
+            sim("normal_mode_16k_ops/firewall=true", 3.76e6),
+            sim("full_fault_recovery_cycle/node_failure_8", 3.6e6),
+            sim("full_fault_recovery_cycle/node_failure_128", 2.56e6),
+            sim("machine_validate/fig55_128", 40e6),
+            sim("machine_checkpoint_fork/table_5_1", 32e6),
+            sweep("validation_table_5_3", 2.2),
+            sweep("end_to_end_table_5_4", 1.5),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -280,8 +280,9 @@ pub fn sweep_parallel_make(
 }
 
 /// Host-side wall-clock comparison of the forked sweep against the
-/// from-scratch equivalent at equal N — the speedup evidence recorded in
-/// `BENCH_sweep_fork.json`.
+/// from-scratch equivalent at equal N — the speedup evidence the
+/// `sweep_fork` bench records, gated by the `speedup` floors of the repo's
+/// `BENCH_ledger.json`.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepTiming {
     /// Total runs completed on each side.

@@ -59,7 +59,7 @@ pub use invariants::{check_all, GrayFacts, RunContext, Violation};
 pub use runner::{
     per_run_seed, run_campaign, run_schedule, CampaignConfig, CampaignReport, RunRecord, Verdict,
 };
-pub use schedule::{generate, json_escape, FaultEvent, GeneratorConfig, InjectAt, Mode, Schedule};
+pub use schedule::{generate, FaultEvent, GeneratorConfig, InjectAt, Mode, Schedule};
 pub use triage::{campaign_dir, post_mortem_json, shrink, triage, TriageReport};
 
 #[cfg(test)]

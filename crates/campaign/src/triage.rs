@@ -10,8 +10,9 @@
 //! `target/campaign/`.
 
 use crate::runner::{run_schedule, RunRecord};
-use crate::schedule::{json_escape, FaultEvent, InjectAt, Schedule};
+use crate::schedule::{FaultEvent, InjectAt, Schedule};
 use flash_machine::FaultSpec;
+use flash_obs::json_escape_str;
 use std::path::{Path, PathBuf};
 
 /// The outcome of triaging one failing run.
@@ -137,8 +138,8 @@ fn violations_json(record: &RunRecord) -> String {
         .map(|v| {
             format!(
                 "{{\"invariant\":\"{}\",\"details\":\"{}\"}}",
-                json_escape(v.invariant),
-                json_escape(&v.details)
+                json_escape_str(v.invariant),
+                json_escape_str(&v.details)
             )
         })
         .collect();
@@ -175,7 +176,7 @@ pub fn post_mortem_json(report: &TriageReport) -> String {
         rec.trace_dropped,
         tail,
         metrics,
-        json_escape(&rec.trace)
+        json_escape_str(&rec.trace)
     )
 }
 

@@ -233,11 +233,6 @@ impl Directory {
         self.home
     }
 
-    /// Number of lines homed here.
-    pub fn num_lines(&self) -> usize {
-        self.slots.len()
-    }
-
     fn idx(&self, line: LineAddr) -> usize {
         debug_assert_eq!(self.layout.home_of(line), self.home, "line not homed here");
         self.layout.local_index(line)

@@ -273,12 +273,6 @@ impl RecoveryExt {
         self.units = Some(units);
     }
 
-    /// Clears the accumulated report (between experiments on a reused
-    /// machine).
-    pub fn reset_report(&mut self) {
-        self.report = RecoveryReport::default();
-    }
-
     /// Whether any node is currently executing the recovery algorithm.
     pub fn recovery_active(&self) -> bool {
         self.active
@@ -295,33 +289,6 @@ impl RecoveryExt {
     /// between run slices to arm faults *inside* a chosen phase.
     pub fn phase_entries(&self) -> PhaseEntries {
         self.entries
-    }
-
-    /// One human-readable line per node of recovery-internal state
-    /// (phase, incarnation, view, exchange partners): the triage view used
-    /// when a campaign reproduction stalls mid-recovery.
-    pub fn debug_node_states(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                format!(
-                    "n{i}: phase={:?} inc={} round={} bound={:?} inbox={:?} down={:?} cwn={:?} pings={:?} bars={:?}",
-                    r.phase,
-                    r.inc,
-                    r.round,
-                    r.bound,
-                    r.inbox.keys().collect::<Vec<_>>(),
-                    r.view.node_down.iter().map(|n| n.0).collect::<Vec<_>>(),
-                    r.cwn,
-                    r.pending_pings.keys().collect::<Vec<_>>(),
-                    r.bars
-                        .iter()
-                        .map(|(id, b)| (format!("{id:?}"), b.self_joined, b.released))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------

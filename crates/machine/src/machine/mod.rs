@@ -281,11 +281,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
     }
 
-    /// Nodes that are operational according to ground truth.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().filter(|n| n.is_alive()).map(|n| n.id)
-    }
-
     /// Queues a payload for transmission; the per-lane pump drains it into
     /// the fabric, retrying when the injection queue is full.
     pub fn queue_send<E>(
@@ -466,11 +461,6 @@ impl<X: Extension + Clone> Checkpoint<X> {
         self.0.clone()
     }
 
-    /// Simulated time at which the snapshot was taken.
-    pub fn taken_at(&self) -> SimTime {
-        self.0.now()
-    }
-
     /// Read access to the snapshotted machine state (inspection only).
     pub fn st(&self) -> &MachineState<X::Msg> {
         self.0.st()
@@ -525,19 +515,19 @@ impl<X: Extension> Machine<X> {
 
     /// Runs until the horizon passes or the event queue drains.
     ///
-    /// Uses the engine's batched runner: bursts of same-instant events (a
-    /// pump draining a queue, a delivery waking several handlers) are popped
-    /// without re-consulting the far-horizon structure between them.
+    /// The engine drains bursts of same-instant events (a pump draining a
+    /// queue, a delivery waking several handlers) without re-consulting the
+    /// far-horizon structure between them.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         self.sample_queue_depth();
-        self.engine.run_batched(&mut self.world, horizon)
+        self.engine.run(&mut self.world, horizon)
     }
 
     /// Runs for the given additional duration.
     pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
         let h = self.engine.now() + d;
         self.sample_queue_depth();
-        self.engine.run_batched(&mut self.world, h)
+        self.engine.run(&mut self.world, h)
     }
 
     /// Feeds the engine's pending-event count into the queue-depth
@@ -561,11 +551,6 @@ impl<X: Extension> Machine<X> {
             panic!("cannot schedule {spec:?}: {bad}");
         }
         self.engine.schedule_at(at, Ev::Fault(spec));
-    }
-
-    /// Schedules an extension event at an absolute time.
-    pub fn schedule_ext(&mut self, at: SimTime, ev: X::Ev) {
-        self.engine.schedule_at(at, Ev::Ext(ev));
     }
 
     /// Read access to the machine state.
@@ -602,12 +587,5 @@ impl<X: Extension> Machine<X> {
     /// Sets the engine's livelock guard.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.engine.set_event_budget(budget);
-    }
-
-    /// Whether all live processors are quiescent (halted or dead) and no
-    /// events remain below the given horizon — used by experiments to
-    /// detect workload completion.
-    pub fn is_quiescent(&self) -> bool {
-        self.engine.pending() == 0
     }
 }

@@ -25,7 +25,7 @@ use crate::graph::UGraph;
 use crate::ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 use crate::packet::{Packet, Route};
 use crate::routing::{Hop, RoutingTables};
-use crate::slab::{PacketMeta, PacketSlab};
+use crate::slab::PacketSlab;
 use crate::topology::Topology;
 use flash_obs::{Domain, Recorder, TraceEvent};
 use flash_sim::{Counters, DetRng, SimDuration, SimTime};
@@ -340,7 +340,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
             self.counters.incr("inject_full");
             return Err(SendError::Full(pkt));
         }
-        pkt.id = self.slab.alloc(now);
+        pkt.id = self.slab.alloc();
         let id = pkt.id;
         if lane.is_coherence() {
             self.in_flight_coherence += 1;
@@ -522,16 +522,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
     }
 
-    /// Installs new routing tables (the interconnect-recovery step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table dimensions do not match the fabric.
-    pub fn install_tables(&mut self, tables: RoutingTables) {
-        assert_eq!(tables.num_routers(), self.n_routers);
-        self.tables = tables;
-    }
-
     /// Read access to the installed routing tables.
     pub fn tables(&self) -> &RoutingTables {
         &self.tables
@@ -566,17 +556,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// lines whose only valid copy was lost in transit.
     pub fn dropped_packets(&self) -> &[Packet<P>] {
         &self.dropped
-    }
-
-    /// Bookkeeping for a packet still inside the fabric (queued or in
-    /// transit); `None` once it has been delivered or dropped.
-    pub fn packet_meta(&self, id: PacketId) -> Option<PacketMeta> {
-        self.slab.get(id).copied()
-    }
-
-    /// Number of packets currently inside the fabric on any lane.
-    pub fn in_flight_packets(&self) -> usize {
-        self.slab.live()
     }
 
     // ------------------------------------------------------------------

@@ -49,5 +49,4 @@ pub use graph::UGraph;
 pub use ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 pub use packet::{Packet, Route, SourceRoute, MAX_SOURCE_HOPS};
 pub use routing::{channel_dependencies_acyclic, up_down_tables, Hop, RoutingTables};
-pub use slab::PacketMeta;
 pub use topology::{Hypercube, LinkSpec, Mesh2D, Topology};

@@ -138,11 +138,6 @@ impl Metrics {
         &self.counters
     }
 
-    /// Mutable access to the counter set (for merging foreign counters in).
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.hists.iter().find(|e| e.0 == name).map(|e| &e.1)

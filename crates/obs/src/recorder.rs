@@ -120,11 +120,6 @@ impl Recorder {
         }
     }
 
-    /// Whether a domain records.
-    pub fn domain_enabled(&self, domain: Domain) -> bool {
-        self.mask & domain.bit() != 0
-    }
-
     /// Whether any domain records.
     pub fn any_enabled(&self) -> bool {
         self.mask != 0

@@ -176,45 +176,12 @@ impl<E> Engine<E> {
     ///
     /// Events with timestamps `<= horizon` are delivered; the first event
     /// beyond the horizon stays queued and the engine's clock advances to
-    /// `horizon`.
+    /// `horizon`. After delivering an event at time `t` the loop drains every
+    /// other event scheduled for exactly `t` — including zero-delay
+    /// follow-ups queued during the batch — without re-entering the
+    /// peek/compare scheduling loop per event; delivery order is the same as
+    /// repeated [`Engine::step`] calls.
     pub fn run<W: World<Ev = E>>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome {
-        let mut stop = false;
-        loop {
-            let Some(next) = self.queue.peek_time() else {
-                return RunOutcome::Drained;
-            };
-            if next > horizon {
-                self.now = horizon;
-                return RunOutcome::HorizonReached;
-            }
-            if self.processed >= self.budget {
-                return RunOutcome::BudgetExhausted;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked entry vanished");
-            debug_assert!(t >= self.now, "event queue went backwards");
-            self.now = t;
-            self.processed += 1;
-            let mut sched = Scheduler {
-                now: self.now,
-                queue: &mut self.queue,
-                stop_requested: &mut stop,
-                clamped: &mut self.clamped,
-            };
-            world.dispatch(ev, &mut sched);
-            if stop {
-                return RunOutcome::Stopped;
-            }
-        }
-    }
-
-    /// Like [`Engine::run`], but after delivering an event at time `t` it
-    /// drains every other event scheduled for exactly `t` — including
-    /// zero-delay follow-ups queued during the batch — without re-entering
-    /// the peek/compare scheduling loop per event.
-    ///
-    /// Delivery order, budget, horizon, and stop semantics are identical to
-    /// [`Engine::run`]; only the per-event queue overhead differs.
-    pub fn run_batched<W: World<Ev = E>>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome {
         let mut stop = false;
         loop {
             let Some(next) = self.queue.peek_time() else {
@@ -422,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_matches_run() {
+    fn run_matches_stepping() {
         struct Fanout {
             seen: Vec<(u64, u32)>,
         }
@@ -441,25 +408,25 @@ mod tests {
                 engine.schedule_at(SimTime::from_nanos(10 * (i % 4)), i as u32);
             }
         };
-        let mut plain = Engine::new();
-        seed(&mut plain);
-        let mut w_plain = Fanout { seen: vec![] };
-        assert_eq!(plain.run(&mut w_plain, SimTime::MAX), RunOutcome::Drained);
+        let mut stepped = Engine::new();
+        seed(&mut stepped);
+        let mut w_stepped = Fanout { seen: vec![] };
+        while stepped.step(&mut w_stepped) {}
 
         let mut batched = Engine::new();
         seed(&mut batched);
         let mut w_batched = Fanout { seen: vec![] };
         assert_eq!(
-            batched.run_batched(&mut w_batched, SimTime::MAX),
+            batched.run(&mut w_batched, SimTime::MAX),
             RunOutcome::Drained
         );
-        assert_eq!(w_plain.seen, w_batched.seen);
-        assert_eq!(plain.events_processed(), batched.events_processed());
-        assert_eq!(plain.now(), batched.now());
+        assert_eq!(w_stepped.seen, w_batched.seen);
+        assert_eq!(stepped.events_processed(), batched.events_processed());
+        assert_eq!(stepped.now(), batched.now());
     }
 
     #[test]
-    fn run_batched_respects_budget_and_horizon() {
+    fn run_respects_budget_and_horizon() {
         struct Loopy;
         impl World for Loopy {
             type Ev = ();
@@ -471,7 +438,7 @@ mod tests {
         engine.set_event_budget(500);
         engine.schedule_at(SimTime::ZERO, ());
         assert_eq!(
-            engine.run_batched(&mut Loopy, SimTime::MAX),
+            engine.run(&mut Loopy, SimTime::MAX),
             RunOutcome::BudgetExhausted
         );
         assert_eq!(engine.events_processed(), 500);
@@ -484,7 +451,7 @@ mod tests {
             stop_at: None,
         };
         assert_eq!(
-            engine.run_batched(&mut w, SimTime::from_nanos(50)),
+            engine.run(&mut w, SimTime::from_nanos(50)),
             RunOutcome::HorizonReached
         );
         assert_eq!(w.seen, vec![(10, 1)]);
@@ -498,10 +465,7 @@ mod tests {
             seen: vec![],
             stop_at: Some(3),
         };
-        assert_eq!(
-            engine.run_batched(&mut w, SimTime::MAX),
-            RunOutcome::Stopped
-        );
+        assert_eq!(engine.run(&mut w, SimTime::MAX), RunOutcome::Stopped);
         assert_eq!(w.seen.len(), 4);
         assert_eq!(engine.pending(), 2);
     }

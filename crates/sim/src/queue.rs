@@ -312,7 +312,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the next event only if it is scheduled exactly at
-    /// `at`; used by `Engine::run_batched` to drain same-instant events
+    /// `at`; used by `Engine::run` to drain same-instant events
     /// without re-running the full scheduling loop per event.
     pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
         match self.ring_pops_next()? {
@@ -693,7 +693,7 @@ mod tests {
     #[test]
     fn differential_vs_heap_oracle_pop_if_at() {
         // Same oracle comparison, but draining through pop_if_at batches the
-        // way run_batched does.
+        // way Engine::run does.
         let mut q = EventQueue::new();
         let mut o = HeapQueue::new();
         let mut rng = DetRng::new(0xD1FF);

@@ -86,103 +86,6 @@ impl fmt::Display for Counters {
     }
 }
 
-/// Running summary (count/min/max/mean) of a stream of samples.
-///
-/// # Examples
-///
-/// ```
-/// use flash_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert_eq!(s.mean(), 2.0);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Records a simulated duration, in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples; 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum sample; 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum sample; 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
 /// A power-of-two-bucketed histogram of nanosecond durations.
 ///
 /// Bucket `i` covers `[2^i, 2^(i+1))` ns, with bucket 0 covering `[0, 2)`.
@@ -236,7 +139,7 @@ impl LatencyHistogram {
     }
 
     /// Merges another histogram into this one, bucket-wise. Buckets are
-    /// fixed power-of-two ranges, so merging N shard-local histograms is
+    /// fixed power-of-two ranges, so merging N histograms is
     /// exactly equivalent to recording every sample into one histogram.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -285,26 +188,6 @@ mod tests {
         assert_eq!(a.get("y"), 7);
         assert_eq!(a.get("z"), 1);
         assert_eq!(a.iter().count(), 3);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        s.record(10.0);
-        s.record(-2.0);
-        s.record(4.0);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), -2.0);
-        assert_eq!(s.max(), 10.0);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_records_durations() {
-        let mut s = Summary::new();
-        s.record_duration_ms(SimDuration::from_millis(3));
-        assert_eq!(s.mean(), 3.0);
     }
 
     #[test]

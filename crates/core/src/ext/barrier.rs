@@ -76,7 +76,7 @@ impl RecoveryExt {
         let Some(tree) = self.nodes[node as usize].tree.clone() else {
             return;
         };
-        let children: Vec<u16> = tree.children[node as usize].iter().map(|c| c.0).collect();
+        let children = &tree.children[node as usize];
         let (joined, have_all, ok, released) = {
             let bar = self.nodes[node as usize]
                 .bars
@@ -87,7 +87,7 @@ impl RecoveryExt {
                 });
             (
                 bar.self_joined,
-                children.iter().all(|c| bar.ups.contains(c)),
+                children.iter().all(|c| bar.ups.contains(&c.0)),
                 bar.ok,
                 bar.released,
             )

@@ -51,6 +51,7 @@ use flash_net::{Lane, NodeId, RouterId};
 use flash_sim::{Scheduler, SimTime};
 use phases::RouteMemo;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Timed events private to the recovery algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,7 +177,9 @@ struct NodeRec {
     bound: Option<u32>,
     computing_round: bool,
     // --- barriers / P3 / P4 ---
-    tree: Option<Tree>,
+    /// Immutable once built; shared, so barrier handlers borrow it
+    /// past `&mut self` with a reference-count bump.
+    tree: Option<Arc<Tree>>,
     bars: HashMap<BarrierId, BarState>,
     stashed_ups: Vec<(u16, BarrierId, bool)>,
     vote1_at: Option<SimTime>,

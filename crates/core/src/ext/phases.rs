@@ -135,7 +135,7 @@ impl RecoveryExt {
 
         // Barrier tree for the rest of the algorithm.
         let tree = view.bft_tree(st.fabric.design_graph());
-        self.nodes[node as usize].tree = Some(tree);
+        self.nodes[node as usize].tree = Some(Arc::new(tree));
         self.nodes[node as usize].bars = BarrierId::ALL
             .iter()
             .map(|&id| {

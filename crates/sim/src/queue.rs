@@ -23,7 +23,12 @@
 //!   (per-bucket bits plus a summary bit per bitmap word) makes finding the
 //!   next non-empty bucket a handful of word operations even when the
 //!   pending set is sparse. Bucket order is push order, so same-instant
-//!   FIFO tie-breaking is free;
+//!   FIFO tie-breaking is free. The buckets own no storage: each is a
+//!   (head, tail) pair of indices into one slab of slots shared by the
+//!   whole ring, linked through each slot's `next` index, and freed slots
+//!   go on a LIFO free list, so a push reuses the most recently popped
+//!   (still cache-warm) slot and the slab never outgrows the peak number
+//!   of pending ring events;
 //! * a **far-horizon overflow** `BinaryHeap` holding every push outside the
 //!   window (memory-op timeouts, watchdogs, fault arming, and the rare
 //!   past-relative push). These are a small fraction of total traffic, so
@@ -37,17 +42,20 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Width of the near-horizon window in ticks (power of two): 2^13 ns ≈ 8.2µs.
 /// Chosen empirically: wide enough for hop/occupancy/retry traffic, small
-/// enough that the ring and its bitmaps stay cache-resident. Widening it to
-/// cover the 50–100µs memory-op timeouts thrashes the cache for no
-/// measurable gain — those pushes are rare and land in the overflow heap.
+/// enough that the bucket heads (8 bytes each, 64 KiB in all) and the
+/// bitmaps stay cache-resident. Widening it to cover the 50–100µs
+/// memory-op timeouts thrashes the cache for no measurable gain — those
+/// pushes are rare and land in the overflow heap.
 const RING_BUCKETS: usize = 1 << 13;
 const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
 const OCC_WORDS: usize = RING_BUCKETS / 64;
 const SUM_WORDS: usize = OCC_WORDS.div_ceil(64);
+/// Null slot index: the end of a bucket's chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Low `n` bits set (`n` ≤ 64).
 #[inline]
@@ -57,6 +65,16 @@ fn low_mask(n: usize) -> u64 {
     } else {
         (1u64 << n) - 1
     }
+}
+
+/// One ring entry in the slab. A pending slot holds its event and links to
+/// the next entry of its bucket; a free slot holds `None` and links to the
+/// next free slot.
+#[derive(Clone)]
+struct Slot<E> {
+    seq: u64,
+    next: u32,
+    event: Option<E>,
 }
 
 /// An entry in the overflow heap: ordered by time, then insertion sequence.
@@ -110,10 +128,15 @@ impl<E> Ord for Entry<E> {
 /// clone pops the same `(time, event)` sequence as the original.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Near-horizon buckets, indexed by `tick & RING_MASK`. Within the
-    /// active window each tick maps to a distinct bucket.
-    ring: Vec<VecDeque<(u64, E)>>,
-    /// Occupancy bitmap over `ring` (bit set ⇔ bucket non-empty).
+    /// Near-horizon buckets, indexed by `tick & RING_MASK`: the (head,
+    /// tail) slot indices of each bucket's FIFO chain, `(NIL, NIL)` when
+    /// empty. Within the active window each tick maps to a distinct bucket.
+    heads: Vec<(u32, u32)>,
+    /// The slab holding every ring entry, pending or free.
+    slots: Vec<Slot<E>>,
+    /// Head of the LIFO free list threaded through `slots`.
+    free: u32,
+    /// Occupancy bitmap over `heads` (bit set ⇔ bucket non-empty).
     occ: Vec<u64>,
     /// Summary bitmap over `occ` (bit set ⇔ bitmap word non-zero).
     summary: Vec<u64>,
@@ -135,7 +158,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..RING_BUCKETS).map(|_| VecDeque::new()).collect(),
+            heads: vec![(NIL, NIL); RING_BUCKETS],
+            slots: Vec::new(),
+            free: NIL,
             occ: vec![0; OCC_WORDS],
             summary: vec![0; SUM_WORDS],
             ring_len: 0,
@@ -171,7 +196,30 @@ impl<E> EventQueue<E> {
     fn insert_ring(&mut self, tick: u64, seq: u64, event: E) {
         debug_assert!(self.in_window(tick));
         let idx = (tick & RING_MASK) as usize;
-        self.ring[idx].push_back((seq, event));
+        let new = Slot {
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let slot = if self.free != NIL {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.slots[s as usize], new).next;
+            s
+        } else {
+            let s = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("ring slab full");
+            self.slots.push(new);
+            s
+        };
+        let (head, tail) = &mut self.heads[idx];
+        if *head == NIL {
+            *head = slot;
+        } else {
+            self.slots[*tail as usize].next = slot;
+        }
+        *tail = slot;
         self.occ[idx >> 6] |= 1 << (idx & 63);
         self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
         self.ring_len += 1;
@@ -186,9 +234,8 @@ impl<E> EventQueue<E> {
         if self.ring_len == 0 {
             return None;
         }
-        let bucket = &self.ring[(self.scan_tick & RING_MASK) as usize];
-        let (seq, _) = bucket.front().expect("scan bucket empty");
-        Some((self.scan_tick, *seq))
+        let head = self.heads[(self.scan_tick & RING_MASK) as usize].0;
+        Some((self.scan_tick, self.slots[head as usize].seq))
     }
 
     /// Whether the next pop should come from the ring rather than the
@@ -207,13 +254,20 @@ impl<E> EventQueue<E> {
     /// `scan_tick` when its bucket empties.
     fn pop_ring(&mut self) -> (SimTime, E) {
         let idx = (self.scan_tick & RING_MASK) as usize;
-        let (_, event) = self.ring[idx].pop_front().expect("scan bucket empty");
+        let head = self.heads[idx].0;
+        let slot = &mut self.slots[head as usize];
+        let event = slot.event.take().expect("scan bucket empty");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = head;
         self.ring_len -= 1;
         // No ring entry precedes the popped tick, so the window may start
         // there: it reaches a full window width beyond `now`.
         self.base_tick = self.scan_tick;
         let time = SimTime::from_nanos(self.scan_tick);
-        if self.ring[idx].is_empty() {
+        if next != NIL {
+            self.heads[idx].0 = next;
+        } else {
+            self.heads[idx] = (NIL, NIL);
             self.occ[idx >> 6] &= !(1 << (idx & 63));
             if self.occ[idx >> 6] == 0 {
                 self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
@@ -368,9 +422,9 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
+        self.heads.fill((NIL, NIL));
+        self.slots.clear();
+        self.free = NIL;
         self.occ.fill(0);
         self.summary.fill(0);
         self.ring_len = 0;
@@ -688,6 +742,86 @@ mod tests {
         for seed in 0..16 {
             sparse_differential_run(0x5BA25E ^ seed, 2_000);
         }
+    }
+
+    /// Steady churn of `K` pending near events: every pop is followed by a
+    /// push a few ticks ahead, so freed slots must be reused rather than
+    /// the slab growing with the number of operations.
+    #[test]
+    fn slab_stays_at_peak_ring_population() {
+        const K: u64 = 300;
+        let mut q = EventQueue::new();
+        let mut rng = DetRng::new(0x51AB);
+        for i in 0..K {
+            q.push(SimTime::from_nanos(rng.below(64)), i);
+        }
+        let mut peak = q.len() - q.overflow_len();
+        for i in K..K + 100_000 {
+            let (t, _) = q.pop().unwrap();
+            q.push(SimTime::from_nanos(t.as_nanos() + rng.below(64)), i);
+            peak = peak.max(q.len() - q.overflow_len());
+        }
+        assert_eq!(q.overflow_len(), 0);
+        assert!(
+            q.slots.len() <= peak,
+            "slab grew to {} slots for a peak of {peak} ring events",
+            q.slots.len()
+        );
+    }
+
+    /// Pushes a mix of near, same-instant and far events, then pops a
+    /// third of them, so the queue holds ring entries, overflow entries and
+    /// same-instant FIFO runs.
+    fn mid_run_queue(seed: u64) -> EventQueue<u64> {
+        let mut q = EventQueue::new();
+        let mut rng = DetRng::new(seed);
+        let mut now = 0u64;
+        for tag in 0..3_000u64 {
+            let t = match rng.below(6) {
+                0 => now,                          // same instant
+                1 => now + 200_000 + rng.below(9), // far, often tied
+                _ => now + rng.below(128),
+            };
+            q.push(SimTime::from_nanos(t), tag);
+            if tag % 3 == 0 {
+                now = q.pop().unwrap().0.as_nanos();
+            }
+        }
+        q
+    }
+
+    fn drain(q: &mut EventQueue<u64>) -> Vec<(SimTime, u64)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn clone_mid_run_pops_identically() {
+        let mut q = mid_run_queue(0xC10E);
+        assert!(q.overflow_len() > 0 && q.len() > q.overflow_len());
+        let mut c = q.clone();
+        // Both keep running: the same pushes after the fork.
+        for q in [&mut q, &mut c] {
+            let (t, _) = q.pop().unwrap();
+            for tag in 0..8 {
+                q.push(t, 10_000 + tag);
+            }
+        }
+        assert_eq!(drain(&mut c), drain(&mut q));
+    }
+
+    #[test]
+    fn clear_then_reuse_matches_a_fresh_queue() {
+        let mut q = mid_run_queue(0xC1EA);
+        q.clear();
+        assert!(q.is_empty() && q.peek_time().is_none());
+        let mut fresh = EventQueue::new();
+        for q in [&mut q, &mut fresh] {
+            let mut rng = DetRng::new(0xF2E5);
+            for tag in 0..500u64 {
+                q.push(SimTime::from_nanos(rng.below(20_000)), tag);
+            }
+        }
+        assert_eq!(drain(&mut q), drain(&mut fresh));
     }
 
     #[test]

@@ -142,6 +142,24 @@ fn link_failure_on_mesh64() {
     );
 }
 
+/// A node failure on the 512-node mesh of the `FLASH_BIG=1` Fig 5.5 arm
+/// (1 MB memory and L2 per node), with a light workload: pins the trace
+/// at a size where host-time optimizations of the engine matter most.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: 512-node run")]
+fn node_failure_on_mesh512() {
+    let mut params = MachineParams::table_5_1();
+    params.n_nodes = 512;
+    params.mem_mb_per_node = 1;
+    params.l2_mb = 1.0;
+    let mut cfg = ExperimentConfig::new(params, 7);
+    cfg.fill_ops = 100;
+    cfg.total_ops = 120;
+    let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(300)));
+    assert!(out.finished && out.passed());
+    assert_eq!(out.trace_hash, 0xd59cddcb37f02016);
+}
+
 #[test]
 fn machine_schedule() {
     assert_eq!(
